@@ -22,7 +22,7 @@ bench-sweep:
 bench-routing:
 	PYTHONPATH=src $(PY) benchmarks/bench_routing_throughput.py
 
-# Incremental maintenance vs full GS + packed level-kernel tier; writes
+# Incremental maintenance vs full GS + packed level kernel; writes
 # BENCH_levels_incremental.json at the root and asserts the >= 10x
 # single-fault-delta floor (Q12+) plus bit-identity to the full fixed
 # point.

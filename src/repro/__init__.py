@@ -37,13 +37,9 @@ Quickstart::
     result = repro.route(levels, "1110", "0001")
     print(result.summary())
 
-The older deep imports (``repro.routing.route_unicast`` and friends)
-remain public and stable; the top-level ``route_unicast`` /
-``check_feasibility`` aliases are deprecated in favor of the facade and
-now warn (but keep working) when touched.
+The deep imports (``repro.routing.route_unicast`` and friends) remain
+public and stable.
 """
-
-import warnings as _warnings
 
 from . import (
     analysis,
@@ -85,27 +81,6 @@ from .safety import SafetyLevels
 
 __version__ = "1.1.0"
 
-#: Deprecated top-level aliases -> (replacement hint, canonical object).
-_DEPRECATED_ALIASES = {
-    "route_unicast": ("repro.route / repro.routing.route_unicast",
-                      lambda: routing.route_unicast),
-    "check_feasibility": ("repro.routing.check_feasibility",
-                          lambda: routing.check_feasibility),
-}
-
-
-def __getattr__(name):
-    entry = _DEPRECATED_ALIASES.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    hint, resolve = entry
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {hint}",
-        DeprecationWarning, stacklevel=2,
-    )
-    return resolve()
-
-
 __all__ = [
     "analysis",
     "api",
@@ -138,7 +113,5 @@ __all__ = [
     "resume_campaign",
     "campaign_report",
     "confirm_break",
-    "check_feasibility",
-    "route_unicast",
     "__version__",
 ]

@@ -17,17 +17,11 @@ Two things live here:
   Monte-Carlo sweeps out deterministically, and ``recorder`` installs a
   :class:`repro.obs.RunRecorder` as the ambient telemetry sink for the
   duration of the run.
-
-The registry used to live in :mod:`repro.cli`; the old shapes —
-``Experiment``, ``REGISTRY[name]`` unpacking as ``(description,
-runner)``, positional ``run(quick, trials)`` — keep working through
-deprecation shims.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -323,7 +317,7 @@ class ExperimentSpec:
             return trials
         return self.quick_trials if quick else self.full_trials
 
-    def run(self, *legacy: Any, trials: Optional[int] = None,
+    def run(self, *, trials: Optional[int] = None,
             seed: Optional[int] = None, jobs: Optional[int] = None,
             recorder: Optional[Any] = None, quick: bool = False) -> str:
         """Execute the runner under the shared-flag contract.
@@ -333,22 +327,7 @@ class ExperimentSpec:
         environment knob for the duration (so it reaches every
         ``map_trials`` call, not just runners with a ``jobs=``
         parameter); ``recorder`` becomes the ambient telemetry sink.
-        Positional arguments are the deprecated legacy ``(quick,
-        trials)`` shape and warn.
         """
-        if legacy:
-            warnings.warn(
-                "positional ExperimentSpec.run(quick, trials) is "
-                "deprecated; use run(quick=..., trials=...)",
-                DeprecationWarning, stacklevel=2,
-            )
-            if len(legacy) > 2:
-                raise TypeError(
-                    f"run() takes at most 2 legacy positional arguments "
-                    f"({len(legacy)} given)")
-            quick = bool(legacy[0])
-            if len(legacy) == 2 and legacy[1] is not None:
-                trials = legacy[1]
         ctx = RunContext(quick=quick,
                          trials=self.resolve_trials(quick, trials),
                          seed=seed, jobs=jobs, recorder=recorder)
@@ -371,21 +350,6 @@ class ExperimentSpec:
                     os.environ.pop(JOBS_ENV_VAR, None)
                 else:
                     os.environ[JOBS_ENV_VAR] = previous_jobs
-
-    def __iter__(self) -> Iterator:
-        """Deprecated: unpack as the legacy ``(description, runner)`` tuple.
-
-        Early versions kept the registry as ``name -> (description,
-        runner(quick, trials))``; this shim keeps that shape working while
-        steering callers to ``.description`` / ``.run``.
-        """
-        warnings.warn(
-            "unpacking an experiment as (description, runner) is "
-            "deprecated; use spec.description and spec.run()",
-            DeprecationWarning, stacklevel=2,
-        )
-        yield self.description
-        yield lambda quick, trials: self.run(quick=quick, trials=trials)
 
 
 #: The experiment registry: name -> :class:`ExperimentSpec`.

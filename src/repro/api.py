@@ -90,10 +90,12 @@ def route_batch(levels: SafetyLevels, sources: Sequence[NodeSpec],
     """Route many pairs over one assignment with the batched kernel.
 
     ``sources``/``dests`` are equal-length sequences of ints or address
-    strings; extra keyword arguments (``tie_break``, ``return_paths``,
-    ``kernel``) pass through to
-    :func:`repro.routing.route_unicast_batch`.  Every route's outcome is
-    bit-identical to calling :func:`route` pair by pair.
+    strings; extra keyword arguments (``tie_break``, ``rng``,
+    ``return_paths``) pass through to
+    :func:`repro.routing.route_unicast_batch`, which runs the vectorized
+    walk, or the scalar reference for ``tie_break="random"``.  Every
+    route's outcome is bit-identical to calling :func:`route` pair by
+    pair.
     """
     topo = levels.topo
     srcs = [_as_node(topo, s) for s in sources]

@@ -50,18 +50,8 @@ from .analysis.experiments import (
     register,
 )
 from .analysis.sweep import JOBS_ENV_VAR
-from .routing.batch import KERNEL_ENV_VAR, KERNELS
-from .safety.levels import LEVEL_KERNEL_ENV_VAR, LEVEL_KERNELS
 
-__all__ = ["main", "RunContext", "Experiment", "ExperimentSpec",
-           "REGISTRY", "EXPERIMENTS", "register"]
-
-#: Back-compat aliases: the registry (and its entry class) used to live
-#: here; both names keep working.  Entries still unpack as the legacy
-#: ``(description, runner)`` tuple through the deprecation shim on
-#: :class:`ExperimentSpec`.
-Experiment = ExperimentSpec
-EXPERIMENTS = REGISTRY
+__all__ = ["main", "RunContext", "ExperimentSpec", "REGISTRY", "register"]
 
 
 # -- commands ---------------------------------------------------------------
@@ -476,18 +466,6 @@ def main(argv: List[str] | None = None) -> int:
                         help="override an experiment's canonical seed "
                              "(experiments that ignore it keep their "
                              "published numbers)")
-    parser.add_argument("--route-kernel", choices=list(KERNELS),
-                        default=None,
-                        help="routing kernel for batched unicast calls "
-                             f"(default: ${KERNEL_ENV_VAR} or vectorized); "
-                             "'scalar' forces the per-route reference walk "
-                             "— outputs are identical either way")
-    parser.add_argument("--level-kernel", choices=list(LEVEL_KERNELS),
-                        default=None,
-                        help="kernel for batched safety-level computation "
-                             f"(default: ${LEVEL_KERNEL_ENV_VAR} or auto); "
-                             "'auto' picks swar (n<=9) or packed (n>=10) — "
-                             "outputs are identical for every choice")
     parser.add_argument("--save", metavar="DIR", default=None,
                         help="also write each experiment's output to "
                              "DIR/<name>.txt")
@@ -511,26 +489,13 @@ def main(argv: List[str] | None = None) -> int:
         # not take an explicit jobs argument, so one flag covers them all.
         os.environ[JOBS_ENV_VAR] = str(args.jobs)
 
-    if args.route_kernel is not None:
-        # Resolved by route_unicast_batch at every call site (including
-        # sweep workers, which inherit the environment), so one flag
-        # covers every batched routing dispatch.
-        os.environ[KERNEL_ENV_VAR] = args.route_kernel
-
-    if args.level_kernel is not None:
-        # Same pattern for compute_safety_levels_batch: resolved at every
-        # call through the shared dispatch helper.
-        os.environ[LEVEL_KERNEL_ENV_VAR] = args.level_kernel
-
     if args.command == "list":
         return _cmd_list()
 
     names = sorted(REGISTRY) if args.command == "all" else [args.command]
     if args.metrics_out:
         config = {"command": args.command, "quick": args.quick,
-                  "trials": args.trials, "jobs": args.jobs,
-                  "route_kernel": args.route_kernel,
-                  "level_kernel": args.level_kernel}
+                  "trials": args.trials, "jobs": args.jobs}
         with obs.observed(args.metrics_out, tool="repro.cli",
                           config=config) as (_registry, recorder):
             _run_experiments(names, args, recorder)

@@ -6,8 +6,6 @@ levels or routing.
 """
 
 from . import bits
-from .dispatch import resolve_kernel_name
-from .native import HAVE_NUMBA, numba_available
 from .disjoint_paths import (
     count_optimal_paths,
     disjoint_optimal_paths,
@@ -42,9 +40,6 @@ from .topology import Topology
 
 __all__ = [
     "bits",
-    "resolve_kernel_name",
-    "HAVE_NUMBA",
-    "numba_available",
     "count_optimal_paths",
     "disjoint_optimal_paths",
     "verify_node_disjoint",

@@ -62,7 +62,7 @@ EVENT_TYPES: Dict[str, Dict[str, bool]] = {
     "gs_batch": {
         "n": True,             # cube dimension
         "batch": True,         # trials in this call
-        "kernel": True,        # "swar" | "sorted" | "packed"
+        "kernel": True,        # "swar" | "packed"
         "rounds_hist": True,   # {stabilization round -> trial count}
         "rounds_max": True,
         "rounds_sum": True,
@@ -87,7 +87,7 @@ EVENT_TYPES: Dict[str, Dict[str, bool]] = {
         "pairs": True,         # routes per trial
         "routes": True,        # trials * pairs
         "tie_break": True,     # lowest-dim / highest-dim / random
-        "kernel": True,        # "vectorized" | "scalar" | "packed"
+        "kernel": True,        # "vectorized" | "scalar"
         "statuses": True,      # {RouteStatus value -> route count}
         "conditions": True,    # {C1/C2/C3/none -> route count}
         "hops_sum": True,      # total links traversed across the batch

@@ -87,7 +87,6 @@ STANDARD_COUNTERS: Tuple[str, ...] = (
     "gs.batch_calls",
     "gs.trials",
     "gs.kernel.swar",
-    "gs.kernel.sorted",
     "gs.kernel.packed",
     "safety.incremental_updates",
     "safety.incremental_fallbacks",

@@ -25,12 +25,13 @@ count, same node path.  The equivalence is enforced by the test suite and
 re-asserted by ``benchmarks/bench_routing_throughput.py`` on every run.
 
 ``tie_break="random"`` draws from a single shared generator in an order
-that vectorization cannot reproduce, so it dispatches to the scalar
-reference implementation (one :func:`_route_unicast` per route, in
-row-major order — document draws stay with the scalar router).  Setting
-``REPRO_ROUTE_KERNEL=scalar`` (or ``kernel="scalar"``) forces that
-reference path for any policy — the A/B switch the benchmark and the
-``--route-kernel`` CLI flag use.
+that vectorization cannot reproduce, so it runs the scalar reference
+implementation instead (one :func:`_route_unicast` per route, in
+row-major order — document draws stay with the scalar router).
+
+:func:`route_with_table` is the routing service's entry point: the same
+lock-step walk, reading each node's neighbor levels from one
+precomputed :func:`pack_neighbor_levels` word per step.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core import bits
-from ..core import native
-from ..core.dispatch import resolve_kernel_name
 from ..core.fault_models import RngLike, as_rng
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube, neighbor_table
-from ..core.native import njit
 from ..obs.instruments import record_routing_batch
 from ..safety.levels import SafetyLevels
 from . import navigation as nav
@@ -54,9 +52,6 @@ from .result import RouteResult, RouteStatus, SourceCondition
 from .safety_unicast import ROUTER_NAME, _route_unicast
 
 __all__ = [
-    "KERNEL_ENV_VAR",
-    "KERNELS",
-    "resolve_kernel",
     "BatchFeasibility",
     "BatchRouteResult",
     "check_feasibility_batch",
@@ -65,17 +60,8 @@ __all__ = [
     "route_with_table",
 ]
 
-#: Environment knob consulted when no explicit ``kernel`` is passed.
-KERNEL_ENV_VAR = "REPRO_ROUTE_KERNEL"
-
-#: Recognized kernel names: the vectorized matrix walk, the scalar
-#: per-route reference implementation, or the packed-word kernel that
-#: keeps all ``n`` neighbor levels of a node in one uint64 (numba-compiled
-#: walk when numba is importable, pure-numpy word unpacking otherwise).
-KERNELS = ("vectorized", "scalar", "packed")
-
-#: The packed kernel stores one level per 4-bit nibble, so it requires
-#: ``n <= 15``; larger cubes resolve to the vectorized kernel instead.
+#: Packed neighbor words store one level per 4-bit nibble, so they
+#: require ``n <= 15``; larger cubes gather through the neighbor table.
 _PACKED_MAX_DIMENSION = 15
 
 #: Integer codes used by the batch arrays (stable: tests and telemetry
@@ -97,30 +83,6 @@ _CONDITION_BY_CODE: Tuple[SourceCondition, ...] = (
 _C1, _C2, _C3, _NONE = 0, 1, 2, 3
 
 _ABORT_DETAIL = "C1, C2 and C3 all fail at the source"
-
-
-def resolve_kernel(
-    tie_break: nav.TieBreak,
-    kernel: Optional[str] = None,
-    n: Optional[int] = None,
-) -> str:
-    """The kernel a batch call will dispatch to.
-
-    Explicit ``kernel`` argument wins, else the ``REPRO_ROUTE_KERNEL``
-    environment variable, else ``"vectorized"`` (resolution and
-    validation via :func:`repro.core.dispatch.resolve_kernel_name`, the
-    helper shared with the level-kernel seam).  ``tie_break="random"``
-    always resolves to ``"scalar"`` (shared-generator draw order), and
-    ``"packed"`` resolves to ``"vectorized"`` when ``n`` is given and
-    exceeds the 4-bit nibble capacity (``n > 15``).
-    """
-    name = resolve_kernel_name(KERNEL_ENV_VAR, KERNELS, kernel,
-                               "vectorized", what="routing kernel")
-    if tie_break == "random":
-        return "scalar"
-    if name == "packed" and n is not None and n > _PACKED_MAX_DIMENSION:
-        return "vectorized"
-    return name
 
 
 @dataclass(frozen=True)
@@ -357,22 +319,6 @@ def _normalize_batch(
 # -- the packed neighbor-level encoding --------------------------------------
 
 
-def _pack_neighbor_levels(
-    lv: np.ndarray, table: np.ndarray, n: int
-) -> np.ndarray:
-    """One int64 word per (trial, node): neighbor ``j``'s level in nibble
-    ``j`` (``n <= 15``, levels ``<= n <= 15`` — both fit 4 bits).
-
-    Costs ``n`` full-cube gathers up front; in exchange every walk step
-    reads a single word per route instead of gathering an ``(R, n)``
-    level matrix, and the numba walker never touches numpy dispatch.
-    """
-    pn = np.zeros(lv.shape, dtype=np.int64)
-    for j in range(n):
-        pn |= lv[:, table[:, j]].astype(np.int64) << (4 * j)
-    return pn.reshape(-1)
-
-
 def _unpack_words(words: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """``(R,)`` packed words -> ``(R, n)`` int8 neighbor-level matrix."""
     return ((words[:, None] >> shifts) & 0xF).astype(np.int8)
@@ -387,7 +333,7 @@ def pack_neighbor_levels(levels: np.ndarray, n: int) -> np.ndarray:
     publishes exactly this array (alongside the raw levels) into each
     epoch's shared-memory table, paying the ``n`` full-cube gathers once
     per *fault epoch* rather than once per batch call.  Requires
-    ``n <= 15`` (4-bit nibbles).
+    ``n <= 15`` (levels ``<= n`` must fit a 4-bit nibble).
     """
     if n > _PACKED_MAX_DIMENSION:
         raise ValueError(
@@ -399,7 +345,11 @@ def pack_neighbor_levels(levels: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"levels must be one ({1 << n},) epoch vector, got {lv.shape}"
         )
-    return _pack_neighbor_levels(lv[None, :], neighbor_table(n), n)
+    table = neighbor_table(n)
+    words = np.zeros(lv.shape, dtype=np.int64)
+    for j in range(n):
+        words |= lv[table[:, j]].astype(np.int64) << (4 * j)
+    return words
 
 
 # -- the vectorized source rule ---------------------------------------------
@@ -442,8 +392,8 @@ def _source_rule(
     """Flat C1/C2/C3 evaluation; returns (h, condition, first_dim).
 
     With ``pn_flat``/``shifts`` the neighbor levels come from one packed
-    word per source instead of ``n`` gathers (the packed kernel's path);
-    the decision logic is shared either way.
+    word per source instead of ``n`` gathers (:func:`route_with_table`'s
+    path); the decision logic is shared either way.
     """
     nvec = src ^ dst
     h = bits.popcount_array(nvec)
@@ -610,188 +560,6 @@ def _route_batch_vectorized(
     )
 
 
-@njit(cache=True)
-def _walk_packed(
-    pn_flat: np.ndarray,
-    lv_flat: np.ndarray,
-    base: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    n: int,
-    highest: bool,
-    want_paths: bool,
-    hamming: np.ndarray,
-    status: np.ndarray,
-    condition: np.ndarray,
-    first_dim: np.ndarray,
-    hops: np.ndarray,
-    paths: np.ndarray,
-) -> int:
-    """Per-route source rule + walk over packed neighbor words.
-
-    The loop-fused twin of :func:`_route_batch_vectorized` (same
-    decisions hop for hop): runs native under numba; without numba it is
-    a plain-Python reference the tests still exercise on small cases.
-    Returns the number of routes that exceeded the ``n + 2`` hop bound
-    (always 0 — Theorem 3 — asserted by the caller).
-    """
-    overruns = 0
-    for r in range(src.shape[0]):
-        s = src[r]
-        d = dst[r]
-        b = base[r]
-        nvec = s ^ d
-        h = 0
-        x = nvec
-        while x != 0:
-            h += x & 1
-            x >>= 1
-        hamming[r] = h
-        first_dim[r] = -1
-        hops[r] = 0
-        if h == 0:
-            status[r] = 0                       # delivered in place
-            condition[r] = 0                    # trivially C1
-            if want_paths:
-                paths[r, 0] = s
-            continue
-        word = pn_flat[b + s]
-        own = lv_flat[b + s]
-        pbest = -1
-        pdim = -1
-        sbest = -1
-        sdim = -1
-        for j in range(n):
-            lev = (word >> (4 * j)) & 15
-            if (nvec >> j) & 1 == 1:
-                if lev > pbest or (highest and lev >= pbest):
-                    pbest = lev
-                    pdim = j
-            else:
-                if lev > sbest or (highest and lev >= sbest):
-                    sbest = lev
-                    sdim = j
-        if own >= h:
-            cond = 0
-            fdim = pdim
-        elif pbest >= h - 1:
-            cond = 1
-            fdim = pdim
-        elif sbest >= h + 1:
-            cond = 2
-            fdim = sdim
-        else:
-            status[r] = 1                       # aborted at source
-            condition[r] = 3
-            continue
-        condition[r] = cond
-        first_dim[r] = fdim
-        cur = s ^ (1 << fdim)
-        nv = nvec ^ (1 << fdim)
-        hop = 1
-        if want_paths:
-            paths[r, 0] = s
-            paths[r, 1] = cur
-        stat = 0 if nv == 0 else -1
-        while stat == -1:
-            if hop >= n + 2:
-                overruns += 1
-                break
-            w = pn_flat[b + cur]
-            best = -1
-            bdim = -1
-            for j in range(n):
-                if (nv >> j) & 1 == 1:
-                    lev = (w >> (4 * j)) & 15
-                    if lev > best or (highest and lev >= best):
-                        best = lev
-                        bdim = j
-            nxt = cur ^ (1 << bdim)
-            if best == 0 and nxt != d:
-                stat = 2                        # stuck (defensive)
-                break
-            cur = nxt
-            nv ^= 1 << bdim
-            hop += 1
-            if want_paths:
-                paths[r, hop] = cur
-            if nv == 0:
-                stat = 0
-        status[r] = stat
-        hops[r] = hop
-    return overruns
-
-
-def _route_batch_packed(
-    topo: Hypercube,
-    lv: np.ndarray,
-    src2d: np.ndarray,
-    dst2d: np.ndarray,
-    tie_break: str,
-    return_paths: bool,
-    use_numba: Optional[bool] = None,
-) -> Tuple[np.ndarray, ...]:
-    """The packed-word kernel: pack once, then walk on single-word reads.
-
-    Dispatches the walk to the numba-compiled :func:`_walk_packed` when
-    numba is importable (``use_numba=None``), else runs the lock-step
-    numpy walk over the same packed words.  Both are bit-identical to
-    :func:`_route_batch_vectorized`.
-    """
-    n, num_nodes = topo.dimension, topo.num_nodes
-    if n > _PACKED_MAX_DIMENSION:
-        raise ValueError(
-            f"packed routing kernel supports n <= {_PACKED_MAX_DIMENSION} "
-            f"(4-bit level nibbles), got n={n}"
-        )
-    lv8 = np.ascontiguousarray(lv, dtype=np.int8)
-    table = neighbor_table(n)
-    pn_flat = _pack_neighbor_levels(lv8, table, n)
-    jit = native.numba_available() if use_numba is None else use_numba
-    if not jit:
-        return _route_batch_vectorized(topo, lv, src2d, dst2d, tie_break,
-                                       return_paths, pn_flat=pn_flat)
-    if tie_break == "lowest-dim":
-        highest = False
-    elif tie_break == "highest-dim":
-        highest = True
-    else:
-        raise ValueError(
-            f"packed kernel supports deterministic tie-breaks only, "
-            f"got {tie_break!r}"
-        )
-    batch, pairs = src2d.shape
-    routes = batch * pairs
-    src = np.ascontiguousarray(src2d.reshape(routes))
-    dst = np.ascontiguousarray(dst2d.reshape(routes))
-    base = np.repeat(np.arange(batch, dtype=np.int64) * num_nodes, pairs)
-    lv_flat = lv8.reshape(-1)
-    hamming = np.empty(routes, dtype=np.int64)
-    status = np.empty(routes, dtype=np.int8)
-    condition = np.empty(routes, dtype=np.int8)
-    first_dim = np.empty(routes, dtype=np.int8)
-    hops = np.empty(routes, dtype=np.int64)
-    paths = np.full((routes, n + 3), -1, dtype=np.int32) if return_paths \
-        else np.empty((1, 1), dtype=np.int32)
-    overruns = _walk_packed(pn_flat, lv_flat, base, src, dst, n, highest,
-                            return_paths, hamming, status, condition,
-                            first_dim, hops, paths)
-    if overruns:
-        raise AssertionError(
-            "packed walk exceeded the n + 2 hop bound; this contradicts "
-            "Theorem 3 and indicates a kernel bug"
-        )
-    shape = (batch, pairs)
-    return (
-        hamming.reshape(shape),
-        status.reshape(shape),
-        condition.reshape(shape),
-        first_dim.reshape(shape),
-        hops.reshape(shape),
-        paths.reshape(batch, pairs, n + 3) if return_paths else None,
-    )
-
-
 def _route_batch_scalar(
     topo: Hypercube,
     lv: np.ndarray,
@@ -803,9 +571,8 @@ def _route_batch_scalar(
 ) -> Tuple[np.ndarray, ...]:
     """Reference kernel: one scalar walk per route, row-major order.
 
-    Used for ``tie_break="random"`` (draws happen pair after pair from
-    the shared generator, trial 0 pair 0 first) and for the
-    ``REPRO_ROUTE_KERNEL=scalar`` A/B switch.
+    Used for ``tie_break="random"``: draws happen pair after pair from
+    the shared generator, trial 0 pair 0 first.
     """
     n = topo.dimension
     batch, pairs = src2d.shape
@@ -845,7 +612,6 @@ def route_unicast_batch(
     tie_break: nav.TieBreak = "lowest-dim",
     rng: RngLike = None,
     return_paths: bool = False,
-    kernel: Optional[str] = None,
 ) -> BatchRouteResult:
     """Route a whole ``(trials, pairs)`` matrix of safety-level unicasts.
 
@@ -862,23 +628,20 @@ def route_unicast_batch(
     (fault set, source, destination) — status, admitting condition, hop
     count, and (with ``return_paths=True``) the full node path.
 
-    ``kernel`` picks the implementation (:func:`resolve_kernel`);
-    ``tie_break="random"`` always runs the scalar reference so the shared
+    Deterministic tie-breaks run the vectorized walk;
+    ``tie_break="random"`` runs the scalar reference so the shared
     ``rng`` draws pair by pair in row-major order.  One ``routing_batch``
     telemetry record covers the whole call — batch counters instead of
     per-attempt events.
     """
     lv, src, dst = _normalize_batch(topo, levels, sources, dests)
-    chosen = resolve_kernel(tie_break, kernel, n=topo.dimension)
-    if chosen == "scalar":
+    if tie_break == "random":
+        chosen = "scalar"
         hamming, status, condition, first_dim, hops, paths = \
             _route_batch_scalar(topo, lv, src, dst, tie_break, rng,
                                 return_paths)
-    elif chosen == "packed":
-        hamming, status, condition, first_dim, hops, paths = \
-            _route_batch_packed(topo, lv, src, dst, tie_break,
-                                return_paths)
     else:
+        chosen = "vectorized"
         hamming, status, condition, first_dim, hops, paths = \
             _route_batch_vectorized(topo, lv, src, dst, tie_break,
                                     return_paths)

@@ -38,8 +38,6 @@ from .gs import (
 )
 from .incremental import DeltaStats, IncrementalLevelEngine
 from .levels import (
-    LEVEL_KERNEL_ENV_VAR,
-    LEVEL_KERNELS,
     LevelsWorkspace,
     SafetyLevels,
     compute_safety_levels,
@@ -47,7 +45,6 @@ from .levels import (
     compute_safety_levels_batch,
     level_from_sorted,
     level_of_node,
-    resolve_level_kernel,
     verify_fixed_point,
 )
 from .link_faults import ExtendedSafetyLevels, compute_extended_levels
@@ -85,11 +82,8 @@ __all__ = [
     "stabilization_rounds_fast",
     "DeltaStats",
     "IncrementalLevelEngine",
-    "LEVEL_KERNEL_ENV_VAR",
-    "LEVEL_KERNELS",
     "LevelsWorkspace",
     "SafetyLevels",
-    "resolve_level_kernel",
     "compute_safety_levels",
     "compute_safety_levels_async",
     "compute_safety_levels_batch",

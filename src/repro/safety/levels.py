@@ -29,22 +29,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.dispatch import resolve_kernel_name
 from ..core.fault_models import RngLike, as_rng
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube, neighbor_table
 from ..obs.instruments import record_gs_batch
+from .packed import batch_block_packed
 
-#: Environment variable consulted by :func:`resolve_level_kernel` when no
-#: explicit ``kernel=`` argument is given — the level-side mirror of
-#: ``REPRO_ROUTE_KERNEL``.
-LEVEL_KERNEL_ENV_VAR = "REPRO_LEVEL_KERNEL"
-
-#: Recognized batch level-kernel names.  ``"auto"`` picks by cube shape:
-#: the 7-bit-lane SWAR kernel for ``n <= 9``, the packed-bitset tier
-#: (:mod:`repro.safety.packed`) for larger cubes; ``"sorted"`` is the
-#: generic gather+sort formulation that works for any topology.
-LEVEL_KERNELS = ("auto", "swar", "sorted", "packed")
+#: Largest cube the SWAR batch kernel handles: its per-threshold counters
+#: live in 7-bit lanes of one uint64.  Larger cubes run the packed tier.
+_SWAR_MAX_DIMENSION = 9
 
 __all__ = [
     "level_from_sorted",
@@ -168,8 +161,9 @@ class LevelsWorkspace:
         """
         cached = self._swar.get(n)
         if cached is None:
-            if not 1 <= n <= 9:
-                raise ValueError("SWAR kernel supports 1 <= n <= 9")
+            if not 1 <= n <= _SWAR_MAX_DIMENSION:
+                raise ValueError(
+                    f"SWAR kernel supports 1 <= n <= {_SWAR_MAX_DIMENSION}")
             vlut = np.zeros(n + 1, dtype=np.uint64)
             for level in range(n + 1):
                 vlut[level] = sum(1 << (7 * t) for t in range(level + 1, n))
@@ -327,86 +321,11 @@ def _batch_block_swar(
     return levels.astype(np.int64), rounds
 
 
-def _batch_block_sorted(
-    n: int, num_nodes: int, table: np.ndarray, masks: np.ndarray,
-    ws: LevelsWorkspace,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generic fallback fixed point: gather + row sort per sweep.
-
-    Handles any dimension (the SWAR packing runs out of uint64 lanes past
-    ``n = 9``); same contract as :func:`_batch_block_swar`.
-    """
-    batch = masks.shape[0]
-    levels = np.full((batch, num_nodes), n, dtype=np.int64)
-    levels[masks] = 0
-    rounds = np.zeros(batch, dtype=np.int64)
-    staircase = ws.staircase(n)
-    active = np.arange(batch)
-    for sweep_no in range(1, n + 2):
-        if active.size == 0:
-            break
-        sub_levels = levels[active]
-        scratch = ws.gather(active.size, num_nodes, n)
-        np.take(sub_levels, table, axis=1, out=scratch)
-        scratch.sort(axis=2)
-        below = scratch < staircase  # (b, N, n): S_j < j
-        any_below = below.any(axis=2)
-        first_fail = np.argmax(below, axis=2)
-        new_levels = np.where(any_below, first_fail, n).astype(np.int64)
-        new_levels[masks[active]] = 0
-        changed = (new_levels != sub_levels).any(axis=1)
-        still = active[changed]
-        rounds[still] = sweep_no
-        levels[still] = new_levels[changed]
-        active = still
-    if active.size:
-        raise AssertionError(
-            "batched safety-level iteration failed to stabilize within n+1 "
-            "sweeps; this contradicts Property 1 and indicates a kernel bug"
-        )
-    return levels, rounds
-
-
-def resolve_level_kernel(
-    n: int, num_nodes: int, kernel: Optional[str] = None
-) -> str:
-    """The concrete batch level kernel to run for an ``n``-cube.
-
-    Resolution order (via :func:`repro.core.dispatch.resolve_kernel_name`,
-    the same helper behind ``REPRO_ROUTE_KERNEL``): an explicit ``kernel=``
-    argument, else ``$REPRO_LEVEL_KERNEL``, else ``"auto"``.  ``"auto"``
-    maps to the shape-appropriate fast tier — ``"swar"`` for ``n <= 9``
-    (where its 7-bit uint64 lanes fit), ``"packed"`` above — and both fast
-    tiers require a full ``2**n``-node cube; requesting one outside its
-    envelope is an error rather than a silent substitution.
-    """
-    name = resolve_kernel_name(LEVEL_KERNEL_ENV_VAR, LEVEL_KERNELS,
-                               kernel, "auto", what="level kernel")
-    full_cube = num_nodes == (1 << n)
-    if name == "auto":
-        if not full_cube:
-            return "sorted"
-        return "swar" if n <= 9 else "packed"
-    if name == "swar" and (n > 9 or not full_cube):
-        raise ValueError(
-            f"level kernel 'swar' supports full cubes with n <= 9 only "
-            f"(got n={n}, {num_nodes} nodes); use 'packed', 'sorted', or "
-            f"'auto'"
-        )
-    if name == "packed" and not full_cube:
-        raise ValueError(
-            f"level kernel 'packed' needs a full 2**n-node cube, got "
-            f"{num_nodes} nodes for n={n}; use 'sorted' or 'auto'"
-        )
-    return name
-
-
 def compute_safety_levels_batch(
     topo: Hypercube,
     fault_masks: np.ndarray,
     workspace: Optional[LevelsWorkspace] = None,
     return_rounds: bool = False,
-    kernel: Optional[str] = None,
 ) -> np.ndarray | Tuple[np.ndarray, np.ndarray]:
     """Safety levels of ``B`` independent fault sets in one kernel.
 
@@ -416,11 +335,10 @@ def compute_safety_levels_batch(
     amortizes numpy dispatch that the per-trial kernel pays ``B`` times;
     rows that reach their fixed point drop out of subsequent sweeps, and
     large batches are processed in cache-sized row blocks.  The sweep
-    kernel is chosen by :func:`resolve_level_kernel` (``kernel=`` argument
-    > ``$REPRO_LEVEL_KERNEL`` > ``auto``): the SWAR threshold-counting
+    kernel follows from the cube alone: the SWAR threshold-counting
     kernel (:func:`_batch_block_swar`) for ``n <= 9``, the packed-bitset
     tier (:func:`repro.safety.packed.batch_block_packed`) for larger
-    cubes, with the gather+sort formulation as the generic fallback.
+    cubes.
 
     Returns the ``(B, 2**n)`` int64 level matrix; with ``return_rounds``
     also the ``(B,)`` per-trial stabilization round (the count of
@@ -438,25 +356,18 @@ def compute_safety_levels_batch(
     num_nodes = topo.num_nodes
     batch = masks.shape[0]
     ws = workspace if workspace is not None else _DEFAULT_WORKSPACE
-    chosen = resolve_level_kernel(n, num_nodes, kernel)
-    table = None if chosen in ("swar", "packed") else neighbor_table(n)
+    swar = n <= _SWAR_MAX_DIMENSION
     levels = np.empty((batch, num_nodes), dtype=np.int64)
     rounds = np.empty(batch, dtype=np.int64)
     for lo in range(0, batch, _BATCH_BLOCK):
         hi = min(lo + _BATCH_BLOCK, batch)
-        if chosen == "swar":
+        if swar:
             blk_levels, blk_rounds = _batch_block_swar(n, masks[lo:hi], ws)
-        elif chosen == "packed":
-            from .packed import batch_block_packed
-
-            blk_levels, blk_rounds = batch_block_packed(n, masks[lo:hi])
         else:
-            blk_levels, blk_rounds = _batch_block_sorted(
-                n, num_nodes, table, masks[lo:hi], ws
-            )
+            blk_levels, blk_rounds = batch_block_packed(n, masks[lo:hi])
         levels[lo:hi] = blk_levels
         rounds[lo:hi] = blk_rounds
-    record_gs_batch(n, batch, chosen, rounds)
+    record_gs_batch(n, batch, "swar" if swar else "packed", rounds)
     return (levels, rounds) if return_rounds else levels
 
 

@@ -1,7 +1,7 @@
 """The packed-bitset safety-level kernel: bit-sliced over 64-trial words.
 
 The SWAR kernel in :mod:`repro.safety.levels` runs out of 7-bit uint64
-lanes past ``n = 9``, and the generic gather+sort fallback streams a
+lanes past ``n = 9``, and a gather+sort formulation streams a
 ``(B, 2**n, n)`` int64 tensor through memory every sweep — the cost that
 caps Monte-Carlo work on Q10+.  This module evaluates the same
 Definition-1 fixed point with a different packing: **one bit per trial**.
@@ -19,17 +19,12 @@ Definition-1 fixed point with a different packing: **one bit per trial**.
   reversed-axis views of the packed cube, and the per-threshold counters
   never leave bit-sliced form.
 
-Two implementations share this design and are asserted bit-identical to
-the swar/sorted kernels (same iterates, same stabilization rounds):
-
-* :func:`_packed_sweep_numpy` — pure-numpy SWAR across words, the
-  always-available fallback;
-* :func:`_packed_sweep_njit` — a numba ``@njit`` transliteration with
-  the per-cell loops fused (no intermediate arrays), dispatched when
-  :func:`repro.core.native.numba_available` says so.
-
-Works for any ``1 <= n <= 26``; it is the ``"packed"`` choice of the
-``REPRO_LEVEL_KERNEL`` seam and the ``auto`` pick for ``n >= 10``.
+The sweep is pure numpy, word-parallel across trials, and asserted
+bit-identical to the SWAR kernel and to the per-trial reference
+(:func:`repro.safety.gs.compute_levels_with_rounds`): same iterates,
+same stabilization rounds.  Works for any ``1 <= n <= 26``;
+:func:`repro.safety.levels.compute_safety_levels_batch` runs it for
+``n >= 10``.
 """
 
 from __future__ import annotations
@@ -37,9 +32,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-from ..core import native
-from ..core.native import njit
 
 __all__ = ["batch_block_packed"]
 
@@ -76,7 +68,7 @@ def _unpack_lane_vector(words: np.ndarray, batch: int) -> np.ndarray:
     return bits[:batch].astype(bool)
 
 
-def _packed_sweep_numpy(
+def _packed_sweep(
     planes: np.ndarray,
     new_planes: np.ndarray,
     fault_w: np.ndarray,
@@ -143,89 +135,14 @@ def _packed_sweep_numpy(
     return np.bitwise_or.reduce(changed, axis=1)
 
 
-@njit(cache=True)
-def _packed_sweep_njit(
-    planes: np.ndarray,
-    new_planes: np.ndarray,
-    fault_w: np.ndarray,
-    n: int,
-    num_planes: int,
-    count_planes: int,
-    changed_words: np.ndarray,
-) -> None:  # pragma: no cover - exercised only on numba installs
-    """Loop-fused twin of :func:`_packed_sweep_numpy` (same bit algebra)."""
-    wb, num_nodes = fault_w.shape
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    zero = np.uint64(0)
-    nbrp = np.empty((n, num_planes), np.uint64)
-    ltj = np.empty(n, np.uint64)
-    acc = np.empty(count_planes, np.uint64)
-    for w in range(wb):
-        word_changed = zero
-        for v in range(num_nodes):
-            for j in range(n):
-                u = v ^ (1 << j)
-                for p in range(num_planes):
-                    nbrp[j, p] = planes[p, w, u]
-                ltj[j] = zero
-            alive = ~fault_w[w, v]
-            notdone = alive
-            for p in range(num_planes):
-                new_planes[p, w, v] = zero
-            for t in range(1, n):
-                um = t - 1
-                for j in range(n):
-                    e = ones
-                    for p in range(num_planes):
-                        if (um >> p) & 1:
-                            e &= nbrp[j, p]
-                        else:
-                            e &= ~nbrp[j, p]
-                    ltj[j] |= e
-                for k in range(count_planes):
-                    acc[k] = zero
-                for j in range(n):
-                    carry = ltj[j]
-                    for k in range(count_planes):
-                        if carry == zero:
-                            break
-                        spill = acc[k] & carry
-                        acc[k] ^= carry
-                        carry = spill
-                threshold = t + 1
-                gt = zero
-                eqc = ones
-                for k in range(count_planes - 1, -1, -1):
-                    xb = acc[k]
-                    if (threshold >> k) & 1:
-                        eqc = eqc & xb
-                    else:
-                        gt = gt | (eqc & xb)
-                        eqc = eqc & ~xb
-                sel = (gt | eqc) & notdone
-                if sel != zero:
-                    for p in range(num_planes):
-                        if (t >> p) & 1:
-                            new_planes[p, w, v] |= sel
-                notdone &= ~(gt | eqc)
-            for p in range(num_planes):
-                if (n >> p) & 1:
-                    new_planes[p, w, v] |= notdone
-            for p in range(num_planes):
-                word_changed |= new_planes[p, w, v] ^ planes[p, w, v]
-        changed_words[w] = word_changed
-
-
 def batch_block_packed(
-    n: int, masks: np.ndarray, use_numba: bool | None = None
+    n: int, masks: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Definition-1 fixed point for one block of fault masks, packed tier.
 
-    Same contract as the swar/sorted block kernels in ``levels``: returns
+    Same contract as the SWAR block kernel in ``levels``: returns
     ``(levels, rounds)`` with ``levels`` an int64 ``(B, 2**n)`` matrix and
     ``rounds`` the per-trial count of change-bearing synchronous sweeps.
-    ``use_numba`` pins an implementation for equivalence tests; ``None``
-    defers to :func:`repro.core.native.numba_available`.
     """
     batch, num_nodes = masks.shape
     if num_nodes != 1 << n:
@@ -242,16 +159,10 @@ def batch_block_packed(
         planes[p] = alive if (n >> p) & 1 else 0
     new_planes = np.empty_like(planes)
     rounds = np.zeros(batch, dtype=np.int64)
-    jit = native.numba_available() if use_numba is None else use_numba
     stable = False
     for sweep_no in range(1, n + 2):
-        if jit:
-            changed_words = np.empty(fault_w.shape[0], dtype=np.uint64)
-            _packed_sweep_njit(planes, new_planes, fault_w, n,
-                               num_planes, count_planes, changed_words)
-        else:
-            changed_words = _packed_sweep_numpy(planes, new_planes, fault_w,
-                                                n, num_planes, count_planes)
+        changed_words = _packed_sweep(planes, new_planes, fault_w,
+                                      n, num_planes, count_planes)
         planes, new_planes = new_planes, planes
         if not changed_words.any():
             stable = True

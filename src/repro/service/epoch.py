@@ -58,15 +58,12 @@ import numpy as np
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
 from ..obs.instruments import record_epoch_swap
-from ..routing.batch import pack_neighbor_levels
+from ..routing.batch import _PACKED_MAX_DIMENSION, pack_neighbor_levels
 from ..safety.incremental import DeltaStats, IncrementalLevelEngine
 from .shm import clear_seal, create_unsealed_segment, seal_epoch_table, \
     unlink_segment
 
 __all__ = ["EpochView", "EpochSwap", "EpochManager"]
-
-#: Packed neighbor words need 4-bit level nibbles, hence n <= 15.
-_PACKED_MAX_DIMENSION = 15
 
 #: Default warm-spare ring size: serving + draining epochs are covered by
 #: their own segments, two spares absorb back-to-back churn.

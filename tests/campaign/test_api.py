@@ -1,7 +1,5 @@
 """The campaign facade verbs and the unified experiment interface."""
 
-import pytest
-
 import repro
 from repro.analysis.experiments import (
     REGISTRY,
@@ -63,19 +61,6 @@ class TestUnifiedRegistry:
     def test_run_accepts_keyword_interface(self, capsys):
         out = get_experiment("fig1").run(quick=True)
         assert isinstance(out, str)
-
-    def test_legacy_positional_run_warns_but_works(self):
-        exp = get_experiment("fig1")
-        with pytest.deprecated_call():
-            out = exp.run(True)
-        assert isinstance(out, str)
-
-    def test_legacy_tuple_unpack_warns_but_works(self):
-        exp = get_experiment("fig1")
-        with pytest.deprecated_call():
-            description, runner = exp
-        assert description == exp.description
-        assert runner(True, None)
 
 
 class TestCliList:

@@ -3,7 +3,9 @@
 The load-bearing property: every route of a batch is *bit-identical* to
 the scalar Section 3.2 walk — same status, same admitting condition, same
 hop count, same node path — on any fault set, including disconnected
-cubes, under both deterministic tie-breaks and both kernels.
+cubes, under both deterministic tie-breaks — whether the walk gathers
+neighbor levels per step (``route_unicast_batch``) or reads them from the
+service's precomputed packed words (``route_with_table``).
 """
 
 import numpy as np
@@ -19,11 +21,12 @@ from repro.routing import (
     route_unicast,
 )
 from repro.routing.batch import (
-    KERNEL_ENV_VAR,
     BatchRouteResult,
+    _route_batch_scalar,
     check_feasibility_batch,
-    resolve_kernel,
+    pack_neighbor_levels,
     route_unicast_batch,
+    route_with_table,
 )
 from repro.safety import SafetyLevels
 from repro.safety.levels import compute_safety_levels_batch
@@ -117,7 +120,8 @@ class TestScalarEquivalence:
         _assert_pairs_equal(topo, sl, levels, pairs, "lowest-dim")
 
     def test_scalar_kernel_bit_identical(self):
-        """REPRO_ROUTE_KERNEL=scalar is a pure A/B switch."""
+        """The scalar reference kernel (run for the random tie-break)
+        agrees with the vectorized walk on every array field."""
         topo, sl, levels, alive = _instance(6, 9, 77)
         rng = np.random.default_rng(78)
         srcs = np.array([alive[int(i)]
@@ -126,12 +130,12 @@ class TestScalarEquivalence:
                          for j in rng.integers(len(alive), size=300)])
         vec = route_unicast_batch(topo, levels, srcs, dsts,
                                   return_paths=True)
-        sca = route_unicast_batch(topo, levels, srcs, dsts,
-                                  return_paths=True, kernel="scalar")
-        assert vec.kernel == "vectorized" and sca.kernel == "scalar"
-        for name in ("hamming", "status", "condition", "first_dim", "hops",
-                     "paths"):
-            assert (getattr(vec, name) == getattr(sca, name)).all(), name
+        sca = _route_batch_scalar(topo, levels, srcs[None, :],
+                                  dsts[None, :], "lowest-dim", None, True)
+        assert vec.kernel == "vectorized"
+        for name, arr in zip(("hamming", "status", "condition", "first_dim",
+                              "hops", "paths"), sca):
+            assert (getattr(vec, name) == arr).all(), name
 
 
 class TestPaperInstances:
@@ -190,20 +194,14 @@ class TestFeasibilityBatch:
 
 
 class TestKernelDispatch:
-    def test_resolver_precedence(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel("lowest-dim") == "vectorized"
-        assert resolve_kernel("lowest-dim", "scalar") == "scalar"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
-        assert resolve_kernel("lowest-dim") == "scalar"
-        # explicit argument beats the environment
-        assert resolve_kernel("lowest-dim", "vectorized") == "vectorized"
-        with pytest.raises(ValueError, match="unknown routing kernel"):
-            resolve_kernel("lowest-dim", "simd")
-
     def test_random_tie_break_always_scalar(self):
-        assert resolve_kernel("random") == "scalar"
-        assert resolve_kernel("random", "vectorized") == "scalar"
+        topo, _sl, levels, alive = _instance(4, 2, 3)
+        for tie_break, kernel in (("lowest-dim", "vectorized"),
+                                  ("highest-dim", "vectorized"),
+                                  ("random", "scalar")):
+            batch = route_unicast_batch(topo, levels, alive[0], alive[-1],
+                                        tie_break=tie_break)
+            assert batch.kernel == kernel
 
     def test_random_batch_draws_in_row_major_order(self):
         """The scalar fallback consumes the shared generator pair by pair
@@ -304,16 +302,18 @@ class TestObservability:
 
 
 class TestPackedKernel:
-    """The nibble-packed neighbor-level kernel (numba tier with a pure
-    numpy word fallback) must be a bit-identical A/B switch against the
-    vectorized kernel, under both deterministic tie-breaks."""
+    """The routing service's walk: ``route_with_table`` over one epoch's
+    :func:`pack_neighbor_levels` words must be bit-identical to
+    ``route_unicast_batch`` under both deterministic tie-breaks, and so
+    must its second backend, ``packed=None`` (gather through the neighbor
+    table — the only option past n = 15)."""
 
     FIELDS = ("hamming", "status", "condition", "first_dim", "hops",
               "paths")
 
     @pytest.mark.parametrize("tie_break", ["lowest-dim", "highest-dim"])
     @pytest.mark.parametrize("n,num_faults,seed", [
-        (3, 2, 11), (4, 8, 12), (6, 9, 13), (6, 30, 14),
+        (3, 2, 11), (4, 8, 12), (6, 9, 13), (6, 30, 14), (15, 14, 15),
     ])
     def test_bit_identical_to_vectorized(self, n, num_faults, seed,
                                          tie_break):
@@ -323,64 +323,41 @@ class TestPackedKernel:
                          for i in rng.integers(len(alive), size=200)])
         dsts = np.array([alive[int(j)]
                          for j in rng.integers(len(alive), size=200)])
-        vec = route_unicast_batch(topo, levels, srcs, dsts,
-                                  tie_break=tie_break, return_paths=True,
-                                  kernel="vectorized")
-        pkd = route_unicast_batch(topo, levels, srcs, dsts,
-                                  tie_break=tie_break, return_paths=True,
-                                  kernel="packed")
-        assert pkd.kernel == "packed"
+        ref = route_unicast_batch(topo, levels, srcs, dsts,
+                                  tie_break=tie_break, return_paths=True)
+        got = route_with_table(topo, levels[0],
+                               pack_neighbor_levels(levels[0], n), srcs,
+                               dsts, tie_break=tie_break, return_paths=True)
         for name in self.FIELDS:
-            assert (getattr(vec, name) == getattr(pkd, name)).all(), name
+            assert (getattr(ref, name) == getattr(got, name)).all(), name
 
     def test_both_backends_bit_identical(self):
-        """The njit per-route walk (exercised as plain Python when numba
-        is absent) and the numpy packed-word walk agree exactly."""
-        from repro.routing.batch import _route_batch_packed
-
-        topo, _sl, levels, alive = _instance(5, 10, 21)
-        rng = np.random.default_rng(22)
-        src = np.array([alive[int(i)]
-                        for i in rng.integers(len(alive), size=150)])[None, :]
-        dst = np.array([alive[int(j)]
-                        for j in rng.integers(len(alive), size=150)])[None, :]
-        for tie_break in ("lowest-dim", "highest-dim"):
-            a = _route_batch_packed(topo, levels, src, dst, tie_break,
-                                    True, use_numba=False)
-            b = _route_batch_packed(topo, levels, src, dst, tie_break,
-                                    True, use_numba=True)
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
-
-    def test_numba_gate_respected(self, monkeypatch):
-        from repro.core import native
-
-        monkeypatch.setattr(native, "HAVE_NUMBA", False)
-        topo, _sl, levels, alive = _instance(4, 3, 31)
-        vec = route_unicast_batch(topo, levels, alive[0], alive[-1],
-                                  kernel="vectorized", return_paths=True)
-        pkd = route_unicast_batch(topo, levels, alive[0], alive[-1],
-                                  kernel="packed", return_paths=True)
-        for name in self.FIELDS:
-            assert (getattr(vec, name) == getattr(pkd, name)).all(), name
-
-    def test_resolver_accepts_packed_within_nibble_envelope(
-            self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel("lowest-dim", "packed", n=15) == "packed"
-        # n > 15 overflows the 4-bit level nibble: degrade, don't crash
-        assert resolve_kernel("lowest-dim", "packed", n=16) == "vectorized"
-        assert resolve_kernel("random", "packed", n=4) == "scalar"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "packed")
-        assert resolve_kernel("lowest-dim", n=6) == "packed"
+        """``packed=None`` gathers neighbor levels instead of reading the
+        words, and still matches ``route_unicast_batch`` field for field."""
+        for n, num_faults, seed in ((3, 2, 11), (4, 8, 12), (6, 9, 13),
+                                    (15, 14, 15)):
+            topo, _sl, levels, alive = _instance(n, num_faults, seed)
+            rng = np.random.default_rng(seed + 2)
+            srcs = np.array([alive[int(i)]
+                             for i in rng.integers(len(alive), size=150)])
+            dsts = np.array([alive[int(j)]
+                             for j in rng.integers(len(alive), size=150)])
+            for tie_break in ("lowest-dim", "highest-dim"):
+                ref = route_unicast_batch(topo, levels, srcs, dsts,
+                                          tie_break=tie_break,
+                                          return_paths=True)
+                got = route_with_table(topo, levels[0], None, srcs, dsts,
+                                       tie_break=tie_break,
+                                       return_paths=True)
+                assert got.kernel == "vectorized"
+                for name in self.FIELDS:
+                    assert (getattr(ref, name) ==
+                            getattr(got, name)).all(), (n, name, tie_break)
 
     def test_packed_rejects_oversized_dimension_directly(self):
-        """The helper itself guards n > 15 (resolve_kernel degrades
-        before reaching it, but a direct call must fail loudly)."""
-        from repro.routing.batch import _route_batch_packed
-
-        topo = Hypercube(16)
-        lv = np.full((1, topo.num_nodes), 16, dtype=np.int8)
-        ends = np.array([[0]]), np.array([[1]])
+        """Levels up to n = 15 fit a 4-bit nibble; past that the packer
+        fails loudly instead of wrapping."""
+        assert pack_neighbor_levels(np.full(1 << 15, 15), 15).shape == \
+            (1 << 15,)
         with pytest.raises(ValueError, match="n <= 15"):
-            _route_batch_packed(topo, lv, *ends, "lowest-dim", False)
+            pack_neighbor_levels(np.full(1 << 16, 16), 16)

@@ -1,27 +1,27 @@
-"""The level-kernel dispatch seam and the packed-bitset tier.
+"""The two batch level kernels and the shape rule that picks between them.
 
 Three claims under test:
 
-* every kernel (swar, sorted, packed — numba or pure-numpy) computes the
+* the SWAR kernel (``n <= 9``) and the packed-bitset tier compute the
   same Definition-1 fixed point and the same per-trial stabilization
-  rounds, bit for bit;
-* ``REPRO_LEVEL_KERNEL`` / ``kernel=`` resolve through the shared
-  dispatch helper with routing-kernel precedence semantics and
-  informative errors;
-* telemetry records the kernel actually dispatched.
+  rounds, bit for bit, and the packed tier matches the per-trial
+  reference :func:`repro.safety.gs.compute_levels_with_rounds` on the
+  cubes only it serves (Q10+) and across its 64-trial word boundaries;
+* :func:`compute_safety_levels_batch` runs SWAR for ``n <= 9`` and the
+  packed tier above, and each kernel rejects inputs outside its envelope;
+* telemetry records the kernel actually run.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Hypercube
-from repro.core import native
+from repro.core import FaultSet, Hypercube
 from repro.obs import instruments as obs
+from repro.safety.gs import compute_levels_with_rounds
 from repro.safety.levels import (
-    LEVEL_KERNEL_ENV_VAR,
-    LEVEL_KERNELS,
+    LevelsWorkspace,
+    _batch_block_swar,
     compute_safety_levels_batch,
-    resolve_level_kernel,
 )
 from repro.safety.packed import batch_block_packed
 
@@ -31,70 +31,48 @@ def _random_masks(n, batch, seed, p=0.2):
     return rng.random((batch, 1 << n)) < p
 
 
+def _per_trial_reference(n, masks):
+    """Levels and rounds from one ``compute_levels_with_rounds`` per row —
+    the gather + row-sort formulation of Definition 1, one trial at a
+    time."""
+    topo = Hypercube(n)
+    levels = np.empty(masks.shape, dtype=np.int64)
+    rounds = np.empty(masks.shape[0], dtype=np.int64)
+    for i, row in enumerate(masks):
+        faults = FaultSet(nodes=np.flatnonzero(row).tolist())
+        levels[i], rounds[i] = compute_levels_with_rounds(topo, faults)
+    return levels, rounds
+
+
 class TestPackedEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9])
     def test_matches_swar_small_cubes(self, n):
-        topo = Hypercube(n)
         masks = _random_masks(n, 70, seed=n)
-        ref, ref_rounds = compute_safety_levels_batch(
-            topo, masks, return_rounds=True, kernel="swar")
-        got, got_rounds = compute_safety_levels_batch(
-            topo, masks, return_rounds=True, kernel="packed")
+        ref, ref_rounds = _batch_block_swar(n, masks, LevelsWorkspace())
+        got, got_rounds = batch_block_packed(n, masks)
         assert np.array_equal(got, ref)
         assert np.array_equal(got_rounds, ref_rounds)
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_matches_sorted_large_cubes(self, n):
-        topo = Hypercube(n)
         masks = _random_masks(n, 17, seed=n, p=0.15)
-        ref, ref_rounds = compute_safety_levels_batch(
-            topo, masks, return_rounds=True, kernel="sorted")
-        got, got_rounds = compute_safety_levels_batch(
-            topo, masks, return_rounds=True, kernel="packed")
+        ref, ref_rounds = _per_trial_reference(n, masks)
+        got, got_rounds = batch_block_packed(n, masks)
         assert np.array_equal(got, ref)
         assert np.array_equal(got_rounds, ref_rounds)
-
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_njit_body_matches_numpy_words(self, n):
-        """The loop-fused njit kernel and the word-parallel numpy kernel
-        implement the same bit algebra (the njit body runs as plain
-        Python when numba is absent, so this holds on every install)."""
-        masks = _random_masks(n, 130, seed=31 + n, p=0.3)
-        lv_np, rd_np = batch_block_packed(n, masks, use_numba=False)
-        lv_jit, rd_jit = batch_block_packed(n, masks, use_numba=True)
-        assert np.array_equal(lv_np, lv_jit)
-        assert np.array_equal(rd_np, rd_jit)
-
-    def test_numpy_fallback_forced_without_numba(self, monkeypatch):
-        """With numba gated off, dispatch lands on the pure-numpy SWAR
-        fallback and stays bit-identical to the sorted reference."""
-        monkeypatch.setattr(native, "HAVE_NUMBA", False)
-        assert not native.numba_available()
-        topo = Hypercube(10)
-        masks = _random_masks(10, 9, seed=99)
-        ref = compute_safety_levels_batch(topo, masks, kernel="sorted")
-        got = compute_safety_levels_batch(topo, masks, kernel="packed")
-        assert np.array_equal(got, ref)
-
-    def test_disable_env_var_gates_numba(self, monkeypatch):
-        monkeypatch.setenv(native.NUMBA_DISABLED_ENV_VAR, "1")
-        assert not native.numba_available()
 
     def test_lane_boundaries(self):
         """Batches straddling the 64-trial word boundary round-trip."""
         n = 4
-        topo = Hypercube(n)
         for batch in (1, 63, 64, 65, 128, 129):
             masks = _random_masks(n, batch, seed=batch)
-            ref, ref_rounds = compute_safety_levels_batch(
-                topo, masks, return_rounds=True, kernel="sorted")
+            ref, ref_rounds = _per_trial_reference(n, masks)
             got, got_rounds = batch_block_packed(n, masks)
             assert np.array_equal(got, ref), batch
             assert np.array_equal(got_rounds, ref_rounds), batch
 
     def test_all_faulty_and_fault_free(self):
         n = 5
-        topo = Hypercube(n)
         masks = np.zeros((2, 1 << n), dtype=bool)
         masks[1] = True
         levels, rounds = batch_block_packed(n, masks)
@@ -104,100 +82,25 @@ class TestPackedEquivalence:
 
 
 class TestDispatch:
-    def test_resolver_precedence(self, monkeypatch):
-        monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
-        assert resolve_level_kernel(5, 32) == "swar"
-        assert resolve_level_kernel(10, 1024) == "packed"
-        assert resolve_level_kernel(5, 32, "sorted") == "sorted"
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "sorted")
-        assert resolve_level_kernel(5, 32) == "sorted"
-        # explicit argument beats the environment
-        assert resolve_level_kernel(5, 32, "packed") == "packed"
+    def test_swar_rejected_outside_envelope(self):
+        with pytest.raises(ValueError, match="SWAR"):
+            LevelsWorkspace().swar_tables(10)
+        # the batch entry point never asks it to: Q10 runs packed
+        masks = _random_masks(10, 3, seed=10)
+        ref, _ = _per_trial_reference(10, masks)
+        assert np.array_equal(
+            compute_safety_levels_batch(Hypercube(10), masks), ref)
 
-    def test_unknown_kernel_names_are_informative(self, monkeypatch):
-        monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="unknown level kernel"):
-            resolve_level_kernel(5, 32, "simd")
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "avx512")
-        with pytest.raises(ValueError) as exc:
-            resolve_level_kernel(5, 32)
-        assert LEVEL_KERNEL_ENV_VAR in str(exc.value)
-        for name in LEVEL_KERNELS:
-            assert name in str(exc.value)
-
-    def test_swar_rejected_outside_envelope(self, monkeypatch):
-        monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="swar"):
-            resolve_level_kernel(10, 1024, "swar")
-        with pytest.raises(ValueError, match="swar"):
-            resolve_level_kernel(5, 30, "swar")  # not a full cube
-
-    def test_packed_requires_full_cube(self, monkeypatch):
-        monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
+    def test_packed_requires_full_cube(self):
         with pytest.raises(ValueError, match="packed"):
-            resolve_level_kernel(5, 30, "packed")
-        assert resolve_level_kernel(5, 30) == "sorted"  # auto degrades
+            batch_block_packed(5, np.zeros((2, 30), dtype=bool))
 
-    def test_env_var_drives_batch_calls(self, monkeypatch):
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "packed")
-        topo = Hypercube(4)
-        masks = _random_masks(4, 6, seed=1)
-        ref = compute_safety_levels_batch(topo, masks, kernel="swar")
-        got = compute_safety_levels_batch(topo, masks)
-        assert np.array_equal(got, ref)
-
-    def test_explicit_beats_env_and_reports_loser(self, monkeypatch, caplog):
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "sorted")
-        with caplog.at_level("DEBUG", logger="repro.dispatch"):
-            assert resolve_level_kernel(5, 32, "swar") == "swar"
-        # the losing source is reported on the debug path
-        messages = [rec.getMessage() for rec in caplog.records]
-        assert any(LEVEL_KERNEL_ENV_VAR in m for m in messages), messages
-        msg = next(m for m in messages if LEVEL_KERNEL_ENV_VAR in m)
-        assert "'swar'" in msg and "'sorted'" in msg
-
-    def test_explicit_agreeing_with_env_is_silent(self, monkeypatch, caplog):
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "sorted")
-        with caplog.at_level("DEBUG", logger="repro.dispatch"):
-            assert resolve_level_kernel(5, 32, "sorted") == "sorted"
-        assert not caplog.records
-
-    def test_explicit_wins_over_unknown_env_name(self, monkeypatch):
-        # a garbage environment value must not break explicit callers —
-        # the env var is never consulted once kernel= is given
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "avx512")
-        assert resolve_level_kernel(5, 32, "swar") == "swar"
-        assert resolve_level_kernel(10, 1024, "packed") == "packed"
-
-    def test_unknown_explicit_never_falls_back_to_env(self, monkeypatch):
-        # explicit wins even when it is the invalid one: the error blames
-        # the kernel argument and names the shadowed environment value
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "sorted")
-        with pytest.raises(ValueError) as exc:
-            resolve_level_kernel(5, 32, "simd")
-        msg = str(exc.value)
-        assert "kernel argument" in msg
-        assert "'simd'" in msg
-        assert f"ignoring ${LEVEL_KERNEL_ENV_VAR}='sorted'" in msg
-
-    def test_both_sources_unknown_blames_explicit(self, monkeypatch):
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "avx512")
-        with pytest.raises(ValueError) as exc:
-            resolve_level_kernel(5, 32, "simd")
-        msg = str(exc.value)
-        assert "'simd'" in msg and "kernel argument" in msg
-        assert f"ignoring ${LEVEL_KERNEL_ENV_VAR}='avx512'" in msg
-        for name in LEVEL_KERNELS:
-            assert name in msg
-
-    def test_telemetry_records_dispatched_kernel(self, monkeypatch):
-        monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
-        topo = Hypercube(4)
-        masks = _random_masks(4, 5, seed=2)
+    def test_telemetry_records_dispatched_kernel(self):
         with obs.observed() as (registry, _rec):
-            compute_safety_levels_batch(topo, masks, kernel="packed")
-            compute_safety_levels_batch(topo, masks)  # auto -> swar
+            for n in (9, 10):
+                compute_safety_levels_batch(
+                    Hypercube(n), _random_masks(n, 5, seed=2))
             counters = registry.counter_values()
         obs.metrics().reset()
-        assert counters["gs.kernel.packed"] == 1
         assert counters["gs.kernel.swar"] == 1
+        assert counters["gs.kernel.packed"] == 1

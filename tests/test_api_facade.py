@@ -1,4 +1,4 @@
-"""The repro.api facade and the top-level deprecation shims."""
+"""The repro.api facade and the top-level package surface."""
 
 import warnings
 
@@ -91,14 +91,6 @@ class TestTopLevelSurface:
                      "stats"):
             assert getattr(repro, name) is getattr(api, name)
             assert name in repro.__all__
-
-    def test_deprecated_aliases_warn_but_resolve(self):
-        with pytest.deprecated_call():
-            fn = repro.route_unicast
-        assert fn is repro.routing.route_unicast
-        with pytest.deprecated_call():
-            chk = repro.check_feasibility
-        assert chk is repro.routing.check_feasibility
 
     def test_stable_surface_does_not_warn(self):
         with warnings.catch_warnings():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, REGISTRY, Experiment, RunContext, main
+from repro.cli import REGISTRY, ExperimentSpec, RunContext, main
 
 
 class TestCli:
@@ -40,7 +40,7 @@ class TestCli:
 class TestRegistry:
     def test_every_experiment_is_declared(self):
         for name, exp in REGISTRY.items():
-            assert isinstance(exp, Experiment)
+            assert isinstance(exp, ExperimentSpec)
             assert exp.name == name
             assert exp.description
             assert callable(exp.runner)
@@ -60,18 +60,10 @@ class TestRegistry:
             seen["ctx"] = ctx
             return "ok"
 
-        exp = Experiment(name="probe", description="x", runner=probe,
-                         quick_trials=3, full_trials=30)
+        exp = ExperimentSpec(name="probe", description="x", runner=probe,
+                             quick_trials=3, full_trials=30)
         assert exp.run(quick=True) == "ok"
         assert seen["ctx"] == RunContext(quick=True, trials=3)
-
-    def test_legacy_tuple_shape_warns_but_works(self):
-        exp = REGISTRY["scorecard"]
-        with pytest.deprecated_call():
-            desc, runner = exp
-        assert desc == exp.description
-        assert callable(runner)
-        assert EXPERIMENTS is REGISTRY
 
 
 class TestStatsCommand:
@@ -98,34 +90,3 @@ class TestStatsCommand:
         bad.write_text('{"not": "an event"}\n')
         assert main(["stats", str(bad)]) == 1
         assert "schema" in capsys.readouterr().err
-
-
-class TestKernelFlags:
-    def test_level_kernel_flag_sets_dispatch_env(self, monkeypatch, capsys):
-        import os
-
-        from repro.safety.levels import LEVEL_KERNEL_ENV_VAR
-
-        # Pre-seed via monkeypatch so teardown restores the pristine
-        # environment even though main() mutates os.environ itself.
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "auto")
-        assert main(["fig1", "--level-kernel", "packed"]) == 0
-        assert os.environ[LEVEL_KERNEL_ENV_VAR] == "packed"
-        assert "levels match the paper figure: yes" in capsys.readouterr().out
-
-    def test_level_kernel_rejects_unknown_name(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig1", "--level-kernel", "simd"])
-        assert "--level-kernel" in capsys.readouterr().err
-
-    def test_level_kernel_recorded_in_telemetry_config(
-            self, monkeypatch, capsys, tmp_path):
-        from repro.safety.levels import LEVEL_KERNEL_ENV_VAR
-
-        monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "auto")
-        run = tmp_path / "run.jsonl"
-        assert main(["fig1", "--level-kernel", "sorted",
-                     "--metrics-out", str(run)]) == 0
-        capsys.readouterr()
-        first = json.loads(run.read_text().splitlines()[0])
-        assert first["config"]["level_kernel"] == "sorted"

@@ -43,8 +43,8 @@ def test_module_has_docstring(name):
 def test_top_level_entry_points():
     import repro
 
-    for sym in ("Hypercube", "FaultSet", "SafetyLevels", "route_unicast",
-                "check_feasibility", "RouteStatus"):
+    for sym in ("Hypercube", "FaultSet", "SafetyLevels", "route",
+                "route_batch", "RouteStatus"):
         assert hasattr(repro, sym)
     assert repro.__version__
 
