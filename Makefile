@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: install test bench bench-sweep bench-routing bench-levels bench-service shard-smoke failover-smoke chaos campaign experiments artifacts scorecard stats-demo examples clean
+.PHONY: install test bench bench-sweep bench-routing bench-levels bench-service shard-smoke failover-smoke gates chaos campaign experiments artifacts scorecard stats-demo examples clean
 
 install:
 	$(PY) -m pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -37,6 +37,22 @@ bench-levels:
 # zero drops.
 bench-service:
 	PYTHONPATH=src $(PY) benchmarks/bench_service.py
+
+# The CI regression gates, run locally: every benchmark writes a fresh
+# report under $(GATES_OUT), then benchmarks/gates.py checks it against
+# its floors (ratio bands vs the committed BENCH_*.json, zero torn /
+# dropped / lost / duplicate, bit-identity, latency ceilings).
+GATES_OUT ?= .bench_out/gates
+gates:
+	mkdir -p $(GATES_OUT)
+	PYTHONPATH=src $(PY) benchmarks/bench_kernel_throughput.py --output $(GATES_OUT)/BENCH_sweep.json
+	$(PY) benchmarks/gates.py sweep $(GATES_OUT)/BENCH_sweep.json
+	PYTHONPATH=src $(PY) benchmarks/bench_levels_incremental.py --output $(GATES_OUT)/BENCH_levels_full.json
+	$(PY) benchmarks/gates.py levels $(GATES_OUT)/BENCH_levels_full.json
+	PYTHONPATH=src $(PY) benchmarks/bench_service.py --quick --output $(GATES_OUT)/BENCH_service_quick.json
+	$(PY) benchmarks/gates.py service-quick $(GATES_OUT)/BENCH_service_quick.json
+	PYTHONPATH=src $(PY) benchmarks/bench_service.py --output $(GATES_OUT)/BENCH_service.json
+	$(PY) benchmarks/gates.py service $(GATES_OUT)/BENCH_service.json
 
 # Sharded serving end-to-end over real sockets: 2 shards / 2 tenants,
 # binary BLOCK bit-identity, line-protocol compat, kill-one-shard

@@ -114,20 +114,22 @@ def _run_experiments(names: List[str], args: argparse.Namespace,
 def _cmd_serve(argv: List[str]) -> int:
     """``repro serve``: bind the routing service's TCP front-end.
 
-    Single-service mode (default) serves one cube.  With ``--shards N``
-    and one or more ``--tenant name:dim[:faults]`` specs, it serves a
-    :class:`~repro.service.ShardRouter` instead — clients bind a tenant
-    first (a ``TENANT`` frame, or a ``tenant <name>`` line).  Both modes
-    speak the binary wire protocol and the line protocol on one port,
-    auto-detected per connection from its first byte.
+    Both modes serve a :class:`~repro.service.ShardRouter`.  By default
+    it holds one cube as tenant ``default`` on one shard, and sessions
+    start bound to it.  With ``--shards N`` and one or more ``--tenant
+    name:dim[:faults]`` specs, clients bind a tenant first (a ``TENANT``
+    frame, or a ``tenant <name>`` line).  Both modes speak the binary
+    wire protocol and the line protocol on one port, auto-detected per
+    connection from its first byte.
     """
     import asyncio
+    import contextlib
     import signal
 
     import numpy as np
 
     from .core.faults import FaultSet
-    from .service import RoutingService, ServiceConfig, ShardRouter
+    from .service import ShardRouter
     from .service.server import serve_forever
 
     parser = argparse.ArgumentParser(
@@ -154,9 +156,9 @@ def _cmd_serve(argv: List[str]) -> int:
     parser.add_argument("--max-batch", type=int, default=256)
     parser.add_argument("--window-us", type=int, default=500)
     parser.add_argument("--shards", type=int, default=0,
-                        help="serve a shard router with this many shards "
-                             "instead of a single service (requires "
-                             "--tenant)")
+                        help="serve this many shards of --tenant cubes "
+                             "instead of one --dim cube as tenant "
+                             "'default' (requires --tenant)")
     parser.add_argument("--tenant", action="append", default=[],
                         metavar="NAME:DIM[:FAULTS]",
                         help="register a tenant cube on the shard router "
@@ -199,89 +201,86 @@ def _cmd_serve(argv: List[str]) -> int:
     if args.auto_failover and not args.shards:
         parser.error("--auto-failover requires --shards")
 
-    tenant_specs = []
-    for spec in args.tenant:
+    tenants = []  # (name, dimension, initial faults)
+    for i, spec in enumerate(args.tenant):
         fields = spec.split(":")
         if len(fields) not in (2, 3):
             parser.error(f"bad --tenant spec {spec!r} "
                          "(want NAME:DIM[:FAULTS])")
-        tenant_specs.append((fields[0], int(fields[1]),
-                             int(fields[2]) if len(fields) == 3 else 0))
+        dim = int(fields[1])
+        tenants.append((fields[0], dim, _seeded_faults(
+            dim, int(fields[2]) if len(fields) == 3 else 0, salt=i + 1)))
+    if not args.shards:
+        # One cube: a one-shard router holding tenant "default", which
+        # every session starts bound to.
+        tenants = [("default", args.dim,
+                    FaultSet(nodes=args.fault_nodes)
+                    if args.fault_nodes is not None
+                    else _seeded_faults(args.dim, args.faults, salt=0))]
 
-    if args.fault_nodes is not None:
-        faults = FaultSet(nodes=args.fault_nodes)
-    else:
-        faults = _seeded_faults(args.dim, args.faults, salt=0)
-
-    async def _serve_target(target, banner: str) -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
-        ready = asyncio.Event()
-        server = asyncio.ensure_future(serve_forever(
-            target, host=args.host, port=args.port, ready=ready,
-            duration_s=args.duration))
-        await ready.wait()
-        print(banner, flush=True)
-        stopper = asyncio.ensure_future(stop.wait())
-        await asyncio.wait({server, stopper},
-                           return_when=asyncio.FIRST_COMPLETED)
-        server.cancel()
-        stopper.cancel()
-        for task in (server, stopper):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-
-    async def run_single() -> None:
-        config = ServiceConfig(dimension=args.dim, max_batch=args.max_batch,
-                               window_us=args.window_us,
-                               workers=args.workers)
-        async with RoutingService(config, faults=faults) as svc:
-            await _serve_target(svc, (
-                f"repro serve: Q{args.dim} with "
-                f"{len(faults.nodes)} faults on "
-                f"{args.host}:{args.port} "
-                f"(backend={'pool' if args.workers else 'inline'}, "
-                f"epoch {svc.epochs.current.epoch})"))
-        # async-with close() drained and unlinked every epoch segment.
-
-    async def run_sharded() -> None:
+    async def run() -> None:
         from .service import FailureDetector, HealthConfig
 
-        async with ShardRouter(shards=args.shards, workers=args.workers,
+        backend = "pool" if args.workers else "inline"
+        async with ShardRouter(shards=args.shards or 1, workers=args.workers,
                                max_batch=args.max_batch,
                                window_us=args.window_us,
                                auto_failover=args.auto_failover,
                                max_tenant_inflight=(
                                    args.max_tenant_inflight or None),
                                ) as router:
-            for i, (name, dim, n_faults) in enumerate(tenant_specs):
-                sid = await router.add_tenant(
-                    name, dimension=dim,
-                    faults=_seeded_faults(dim, n_faults, salt=i + 1))
-                print(f"repro serve: tenant {name!r} (Q{dim}, "
-                      f"{n_faults} faults) -> shard {sid}", flush=True)
-            banner = (
-                f"repro serve: {len(tenant_specs)} tenants over "
-                f"{args.shards} shards on {args.host}:{args.port} "
-                f"(backend={'pool' if args.workers else 'inline'}"
-                + (f", failover on, probes every "
-                   f"{args.probe_interval_ms:g} ms"
-                   if args.auto_failover else "") + ")")
-            if args.auto_failover:
-                detector = FailureDetector(router, HealthConfig(
-                    interval_s=args.probe_interval_ms / 1e3,
-                    suspect_after=args.suspect_after,
-                    dead_after=args.dead_after))
-                async with detector:
-                    await _serve_target(router, banner)
+            for name, dim, tenant_faults in tenants:
+                sid = await router.add_tenant(name, dimension=dim,
+                                              faults=tenant_faults)
+                if args.shards:
+                    print(f"repro serve: tenant {name!r} (Q{dim}, "
+                          f"{len(tenant_faults.nodes)} faults) -> "
+                          f"shard {sid}", flush=True)
+            if args.shards:
+                bound = None
+                banner = (
+                    f"repro serve: {len(tenants)} tenants over "
+                    f"{args.shards} shards on {args.host}:{args.port} "
+                    f"(backend={backend}"
+                    + (f", failover on, probes every "
+                       f"{args.probe_interval_ms:g} ms"
+                       if args.auto_failover else "") + ")")
             else:
-                await _serve_target(router, banner)
+                bound = "default"
+                banner = (
+                    f"repro serve: Q{args.dim} with "
+                    f"{len(tenants[0][2].nodes)} faults on "
+                    f"{args.host}:{args.port} (backend={backend}, epoch "
+                    f"{router.service_of(bound).epochs.current.epoch})")
+            detector = FailureDetector(router, HealthConfig(
+                interval_s=args.probe_interval_ms / 1e3,
+                suspect_after=args.suspect_after,
+                dead_after=args.dead_after)) \
+                if args.auto_failover else contextlib.nullcontext()
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(sig, stop.set)
+            async with detector:
+                ready = asyncio.Event()
+                server = asyncio.ensure_future(serve_forever(
+                    router, host=args.host, port=args.port, ready=ready,
+                    duration_s=args.duration, tenant=bound))
+                await ready.wait()
+                print(banner, flush=True)
+                stopper = asyncio.ensure_future(stop.wait())
+                await asyncio.wait({server, stopper},
+                                   return_when=asyncio.FIRST_COMPLETED)
+                server.cancel()
+                stopper.cancel()
+                for task in (server, stopper):
+                    try:
+                        await task
+                    except (asyncio.CancelledError, Exception):
+                        pass
+        # async-with close() drained and unlinked every epoch segment.
 
-    asyncio.run(run_sharded() if args.shards else run_single())
+    asyncio.run(run())
     print("repro serve: shut down cleanly (all epoch segments unlinked)",
           flush=True)
     return 0

@@ -1,9 +1,10 @@
 """TCP front-end for the routing service: binary frames + line compat.
 
-``repro serve`` binds this server in front of a single
-:class:`~repro.service.RoutingService` or a multi-tenant
-:class:`~repro.service.shard.ShardRouter`.  Each connection's protocol
-is auto-detected from its **first byte**:
+``repro serve`` binds this server in front of one
+:class:`~repro.service.shard.ShardRouter`.  A single-cube server is a
+one-shard router holding one tenant, ``default``, and every session
+starts bound to it; a multi-tenant server starts sessions unbound.
+Each connection's protocol is auto-detected from its **first byte**:
 
 * ``0xAB`` (the frame magic) — the length-prefixed binary protocol of
   :mod:`repro.service.wire`: pipelined request/reply frames matched by
@@ -19,7 +20,7 @@ is auto-detected from its **first byte**:
       Route a unicast; the reply is the
       :meth:`~repro.service.service.ServiceResponse.to_dict` JSON.
   ``tenant <name>``
-      Bind the connection to a tenant (multi-tenant servers only).
+      Bind the connection to a registered tenant.
   ``fault add <node> [<node> ...]`` / ``fault remove <node> ...``
       Inject a fault event; replies with the epoch-swap summary.
   ``epoch``
@@ -27,14 +28,18 @@ is auto-detected from its **first byte**:
   ``quit``
       Close this connection (the service keeps running).
 
-Error handling is structural on both protocols: malformed input, an
-unknown op, an unknown tenant, or a dispatch failure is answered with an
-error frame (binary) or an ``{"error": ...}`` line (text) **and the
-connection stays alive** — only a framing desync (garbage where a frame
-header should be) or EOF closes a session, because after a desync there
-is no boundary left to resume from.
+Both protocols are codecs over one executor, :func:`_execute`: a binary
+frame decodes to ``(op, args)`` with :mod:`~repro.service.wire`, a line
+parses to the same ``(op, args)``, and each renders the executor's
+result in its own format.  Errors go through one table too,
+:func:`_error_of`: malformed input, an unknown op, an unknown tenant, or
+a dispatch failure is answered with an error frame (binary) or an
+``{"error": ..., "code": ...}`` line (text) carrying the same code, **and
+the connection stays alive** — only a framing desync (garbage where a
+frame header should be) or EOF closes a session, because after a desync
+there is no boundary left to resume from.
 
-Concurrent connections share one service, so their requests micro-batch
+Concurrent connections share one router, so their requests micro-batch
 together — the whole point of fronting the batcher with a socket.
 """
 
@@ -42,18 +47,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Union
+from typing import Optional, Tuple
 
 from . import wire
 from ..obs.instruments import record_wire_frame
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
-from .service import REJECTED, REJECTED_CODE, RoutingService
+from .service import REJECTED, REJECTED_CODE
 from .shard import OverloadError, ShardDownError, ShardRetryError, \
     ShardRouter, TenantMovedError, UnknownTenantError
 
 __all__ = ["serve_forever", "handle_connection"]
-
-Target = Union[RoutingService, ShardRouter]
 
 #: Response string -> wire code (scalar ROUTE replies re-encode the
 #: materialized ServiceResponse; blocks ship codes straight through).
@@ -61,78 +64,96 @@ _STATUS_CODE = {s.value: i for i, s in enumerate(_STATUS_BY_CODE)}
 _STATUS_CODE[REJECTED] = REJECTED_CODE
 _CONDITION_CODE = {c.value: i for i, c in enumerate(_CONDITION_BY_CODE)}
 
+#: Exceptions that carry their own wire ``code``.
+_CODED = (wire.WireError, UnknownTenantError, TenantMovedError,
+          ShardRetryError, OverloadError, ShardDownError)
 
-def _resolve(target: Target, tenant: Optional[str]) -> RoutingService:
-    """The service a session's requests go to; raises wire-coded errors."""
-    if isinstance(target, RoutingService):
-        return target
+
+def _error_of(exc: Exception) -> Tuple[int, str]:
+    """The one exception -> ``(wire code, message)`` table."""
+    if isinstance(exc, _CODED):
+        return exc.code, getattr(exc, "message", None) or str(exc)
+    if isinstance(exc, (ValueError, KeyError, IndexError,
+                        UnicodeDecodeError)):
+        return wire.E_BAD_REQUEST, str(exc) or "bad request"
+    return wire.E_INTERNAL, f"{type(exc).__name__}: {exc}"
+
+
+def _tenant(session: dict) -> str:
+    tenant = session["tenant"]
     if tenant is None:
         raise wire.WireError(
             wire.E_NO_TENANT,
             "multi-tenant server: send a TENANT frame (or 'tenant <name>' "
             "line) before routing")
-    return target.service_of(tenant)
+    return tenant
+
+
+async def _execute(router: ShardRouter, session: dict, op: int,
+                   args: tuple):
+    """Run one decoded request against the router; returns its result.
+
+    Data ops go straight to the router, which resolves the tenant,
+    admits the rows and translates shard failures; ``TENANT`` and
+    ``EPOCH`` read the tenant's current epoch view.
+    """
+    if op == wire.OP_ROUTE:
+        return await router.route(_tenant(session), *args)
+    if op == wire.OP_BLOCK:
+        return await router.route_block(_tenant(session), *args)
+    if op == wire.OP_FAULT:
+        add, remove = args
+        return await router.inject_faults(
+            _tenant(session), add=[int(v) for v in add],
+            remove=[int(v) for v in remove])
+    if op == wire.OP_TENANT:
+        view = router.service_of(args[0]).epochs.current
+        session["tenant"] = args[0]
+        return view
+    if op == wire.OP_EPOCH:
+        return router.service_of(_tenant(session)).epochs.current
+    raise wire.WireError(wire.E_UNKNOWN_OP, f"unknown op code 0x{op:02x}")
 
 
 # -- binary sessions ---------------------------------------------------------
 
 
 async def _dispatch_frame(
-    target: Target,
+    router: ShardRouter,
     session: dict,
     op: int,
     payload: bytes,
 ) -> tuple:
-    """Execute one request frame; returns ``(reply_op, reply_payload)``."""
-    if op == wire.OP_TENANT:
-        name = payload.decode("utf-8", "strict")
-        if isinstance(target, ShardRouter):
-            svc = target.service_of(name)
-        else:
-            svc = target  # single-service mode: any name binds to it
-        session["tenant"] = name
-        view = svc.epochs.current
-        return wire.OP_TENANT_R, wire._TENANT_R.pack(view.epoch, view.n)
-    svc = _resolve(target, session.get("tenant"))
-    # Sharded targets dispatch through the *router*, not the bare
-    # service: that is where admission control, the retry/moved error
-    # translation, and the fault journal failover replays from all live.
-    tenant = session.get("tenant")
-    router = target if isinstance(target, ShardRouter) else None
+    """Decode one request frame, execute it, and encode the reply;
+    returns ``(reply_op, reply_payload)``."""
     if op == wire.OP_ROUTE:
-        src, dst = wire.decode_route(payload)
-        resp = await (router.route(tenant, src, dst) if router
-                      else svc.route(src, dst))
+        resp = await _execute(router, session, op, wire.decode_route(payload))
         return wire.OP_ROUTE_R, wire.encode_route_reply(
             resp.epoch, _STATUS_CODE[resp.status],
             _CONDITION_CODE[resp.condition], resp.hops, resp.hamming)
     if op == wire.OP_BLOCK:
-        srcs, dsts = wire.decode_block(payload)
-        block = await (router.route_block(tenant, srcs, dsts) if router
-                       else svc.route_block(srcs, dsts))
+        block = await _execute(router, session, op,
+                               wire.decode_block(payload))
         return wire.OP_BLOCK_R, wire.encode_block_reply(
             block.epoch, block.status, block.condition, block.hops,
             block.hamming)
     if op == wire.OP_FAULT:
-        add, remove = wire.decode_fault(payload)
-        add_l = [int(v) for v in add]
-        rem_l = [int(v) for v in remove]
-        swap = await (router.inject_faults(tenant, add=add_l, remove=rem_l)
-                      if router else svc.inject_faults(add=add_l,
-                                                       remove=rem_l))
+        swap = await _execute(router, session, op,
+                              wire.decode_fault(payload))
         return wire.OP_FAULT_R, wire.encode_fault_reply(
             swap.epoch, swap.stats.added, swap.stats.removed, swap.spare,
             swap.publish_us, swap.flip_us)
-    if op == wire.OP_EPOCH:
-        view = svc.epochs.current
-        return wire.OP_EPOCH_R, wire._EPOCH_R.pack(
-            view.epoch, len(view.faults.nodes))
-    raise wire.WireError(wire.E_UNKNOWN_OP,
-                         f"unknown op code 0x{op:02x}")
+    if op == wire.OP_TENANT:
+        view = await _execute(router, session, op,
+                              (payload.decode("utf-8", "strict"),))
+        return wire.OP_TENANT_R, wire._TENANT_R.pack(view.epoch, view.n)
+    view = await _execute(router, session, op, ())  # unknown ops raise
+    return wire.OP_EPOCH_R, wire._EPOCH_R.pack(
+        view.epoch, len(view.faults.nodes))
 
 
 async def _run_frame(
-    target: Target,
+    router: ShardRouter,
     session: dict,
     op: int,
     req_id: int,
@@ -148,39 +169,10 @@ async def _run_frame(
     """
     error = False
     try:
-        reply_op, reply = await _dispatch_frame(target, session, op, payload)
-    except wire.WireError as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(exc.code,
-                                                           exc.message)
-    except UnknownTenantError as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_UNKNOWN_TENANT, str(exc))
-    except TenantMovedError as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_MOVED, str(exc))
-    except ShardRetryError as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_RETRY, str(exc))
-    except OverloadError as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_OVERLOAD, str(exc))
-    except ShardDownError as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_SHARD_DOWN, str(exc))
-    except (ValueError, KeyError, IndexError, UnicodeDecodeError) as exc:
-        error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_BAD_REQUEST, str(exc) or "bad request")
+        reply_op, reply = await _dispatch_frame(router, session, op, payload)
     except Exception as exc:  # dispatch must never kill the session
         error = True
-        reply_op, reply = wire.OP_ERROR, wire.encode_error(
-            wire.E_INTERNAL, f"{type(exc).__name__}: {exc}")
+        reply_op, reply = wire.OP_ERROR, wire.encode_error(*_error_of(exc))
     record_wire_frame(op, len(payload), error=error)
     async with write_lock:
         try:
@@ -191,13 +183,13 @@ async def _run_frame(
 
 
 async def _binary_session(
-    target: Target,
+    router: ShardRouter,
+    session: dict,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     first_header: bytes,
 ) -> None:
     """Serve one binary connection; ``first_header`` is the peeked magic."""
-    session: dict = {}
     write_lock = asyncio.Lock()
     tasks: set = set()
     pending: Optional[bytes] = first_header
@@ -224,7 +216,7 @@ async def _binary_session(
                     break
             op, req_id, payload = frame
             task = asyncio.get_running_loop().create_task(
-                _run_frame(target, session, op, req_id, payload, writer,
+                _run_frame(router, session, op, req_id, payload, writer,
                            write_lock))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
@@ -236,114 +228,105 @@ async def _binary_session(
 # -- line sessions (compat) --------------------------------------------------
 
 
+def _parse_line(text: str) -> Tuple[int, tuple]:
+    """One text request -> the ``(op, args)`` a binary frame decodes to."""
+    parts = text.split()
+    if parts[0] == "tenant":
+        return wire.OP_TENANT, (parts[1],)
+    if parts[0] == "epoch":
+        return wire.OP_EPOCH, ()
+    if parts[0] == "fault":
+        nodes = [int(v) for v in parts[2:]]
+        if parts[1] == "add":
+            return wire.OP_FAULT, (nodes, ())
+        if parts[1] == "remove":
+            return wire.OP_FAULT, ((), nodes)
+        raise ValueError(f"unknown fault action {parts[1]!r}")
+    return wire.OP_ROUTE, (int(parts[0]), int(parts[1]))
+
+
+def _render_line(op: int, args: tuple, result) -> dict:
+    """The JSON reply for one executed text request."""
+    if op == wire.OP_ROUTE:
+        return result.to_dict()
+    if op == wire.OP_TENANT:
+        return {"tenant": args[0], "epoch": result.epoch, "n": result.n}
+    if op == wire.OP_EPOCH:
+        return {"epoch": result.epoch, "faults": len(result.faults.nodes),
+                "segment": result.segment}
+    return {"epoch": result.epoch,
+            "rounds": result.stats.rounds,
+            "messages": result.stats.messages,
+            "dirty_seed": result.stats.dirty_seed,
+            "fallback": result.stats.fallback,
+            "publish_us": result.publish_us,
+            "flip_us": result.flip_us,
+            "spare": result.spare}
+
+
 async def _line_session(
-    target: Target,
+    router: ShardRouter,
+    session: dict,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     first_byte: bytes,
 ) -> None:
     """Serve one line-protocol connection (the pre-wire compat path)."""
-    session: dict = {}
     carried = first_byte
     while True:
-        line = await reader.readline()
-        if carried:
-            line, carried = carried + line, b""
-        if not line:
-            break
-        text = line.decode("utf-8", "replace").strip()
-        if not text:
-            continue
-        reply = await _dispatch_line(target, session, text)
-        if reply is None:
-            break
+        try:
+            line = await reader.readline()
+        except ValueError as exc:
+            # Over the reader's limit: asyncio has dropped the chunk, so
+            # answer it and read on from the next line.
+            carried = b""
+            reply = {"error": f"line too long: {exc}",
+                     "code": wire.E_BAD_REQUEST}
+        else:
+            if carried:
+                line, carried = carried + line, b""
+            if not line:
+                break
+            text = line.decode("utf-8", "replace").strip()
+            if not text:
+                continue
+            if text.split()[0] == "quit":
+                break
+            try:
+                op, args = _parse_line(text)
+                reply = _render_line(
+                    op, args, await _execute(router, session, op, args))
+            except Exception as exc:  # answer, never kill the session
+                code, message = _error_of(exc)
+                reply = {"error": message, "code": code, "input": text}
         writer.write((json.dumps(reply) + "\n").encode())
         await writer.drain()
-
-
-async def _dispatch_line(
-    target: Target, session: dict, text: str
-) -> Optional[dict]:
-    parts = text.split()
-    try:
-        if parts[0] == "quit":
-            return None
-        if parts[0] == "tenant":
-            name = parts[1]
-            svc = target.service_of(name) \
-                if isinstance(target, ShardRouter) else target
-            session["tenant"] = name
-            view = svc.epochs.current
-            return {"tenant": name, "epoch": view.epoch, "n": view.n}
-        svc = _resolve(target, session.get("tenant"))
-        tenant = session.get("tenant")
-        router = target if isinstance(target, ShardRouter) else None
-        if parts[0] == "epoch":
-            view = svc.epochs.current
-            return {"epoch": view.epoch,
-                    "faults": len(view.faults.nodes),
-                    "segment": view.segment}
-        if parts[0] == "fault":
-            nodes = [int(v) for v in parts[2:]]
-            if parts[1] == "add":
-                swap = await (router.inject_faults(tenant, add=nodes)
-                              if router else svc.inject_faults(add=nodes))
-            elif parts[1] == "remove":
-                swap = await (router.inject_faults(tenant, remove=nodes)
-                              if router
-                              else svc.inject_faults(remove=nodes))
-            else:
-                raise ValueError(f"unknown fault action {parts[1]!r}")
-            return {"epoch": swap.epoch,
-                    "rounds": swap.stats.rounds,
-                    "messages": swap.stats.messages,
-                    "dirty_seed": swap.stats.dirty_seed,
-                    "fallback": swap.stats.fallback,
-                    "publish_us": swap.publish_us,
-                    "flip_us": swap.flip_us,
-                    "spare": swap.spare}
-        src, dst = int(parts[0]), int(parts[1])
-        resp = await (router.route(tenant, src, dst) if router
-                      else svc.route(src, dst))
-        return resp.to_dict()
-    except (ConnectionResetError, BrokenPipeError):
-        raise
-    except wire.WireError as exc:
-        return {"error": exc.message, "code": exc.code, "input": text}
-    except UnknownTenantError as exc:
-        return {"error": str(exc), "code": wire.E_UNKNOWN_TENANT,
-                "input": text}
-    except TenantMovedError as exc:
-        return {"error": str(exc), "code": wire.E_MOVED, "input": text}
-    except ShardRetryError as exc:
-        return {"error": str(exc), "code": wire.E_RETRY, "input": text}
-    except OverloadError as exc:
-        return {"error": str(exc), "code": wire.E_OVERLOAD, "input": text}
-    except ShardDownError as exc:
-        return {"error": str(exc), "code": wire.E_SHARD_DOWN, "input": text}
-    except Exception as exc:
-        # Anything else — malformed numbers, bad ops, dispatch failures —
-        # must answer, not kill the connection task (regression-tested).
-        return {"error": str(exc) or "bad request", "input": text}
 
 
 # -- connection entry --------------------------------------------------------
 
 
 async def handle_connection(
-    target: Target,
+    router: ShardRouter,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
+    *,
+    tenant: Optional[str] = None,
 ) -> None:
-    """One client session: sniff the protocol from byte one, then serve."""
+    """One client session: sniff the protocol from byte one, then serve.
+
+    ``tenant`` is the session's initial binding (``None``: the client
+    must bind one before routing).
+    """
+    session = {"tenant": tenant}
     try:
         first = await reader.read(1)
         if not first:
             return
         if first[0] == wire.MAGIC:
-            await _binary_session(target, reader, writer, first)
+            await _binary_session(router, session, reader, writer, first)
         else:
-            await _line_session(target, reader, writer, first)
+            await _line_session(router, session, reader, writer, first)
     except (ConnectionResetError, BrokenPipeError,
             asyncio.IncompleteReadError):
         pass
@@ -356,15 +339,21 @@ async def handle_connection(
 
 
 async def serve_forever(
-    svc: Target,
+    router: ShardRouter,
     host: str = "127.0.0.1",
     port: int = 7429,
     ready: Optional[asyncio.Event] = None,
     duration_s: Optional[float] = None,
+    *,
+    tenant: Optional[str] = None,
 ) -> None:
-    """Bind and serve until cancelled (or ``duration_s`` elapses)."""
+    """Bind and serve until cancelled (or ``duration_s`` elapses).
+
+    ``tenant`` binds every new session to that tenant up front.
+    """
     server = await asyncio.start_server(
-        lambda r, w: handle_connection(svc, r, w), host, port)
+        lambda r, w: handle_connection(router, r, w, tenant=tenant),
+        host, port)
     if ready is not None:
         ready.set()
     async with server:

@@ -78,6 +78,8 @@ from ..obs.instruments import (
 from .epoch import EpochSwap
 from .service import BlockResponse, RoutingService, ServiceConfig, \
     ServiceResponse
+from .wire import E_MOVED, E_OVERLOAD, E_RETRY, E_SHARD_DOWN, \
+    E_UNKNOWN_TENANT
 
 __all__ = ["ShardDownError", "ShardRetryError", "TenantMovedError",
            "OverloadError", "UnknownTenantError", "HashRing", "Shard",
@@ -88,25 +90,35 @@ class ShardDownError(RuntimeError):
     """The tenant's shard is dead and nothing will bring it back: with
     failover disabled (or no survivors) its requests fail structurally."""
 
+    code = E_SHARD_DOWN
+
 
 class ShardRetryError(RuntimeError):
     """Transient shard trouble (crash window, failover in flight): the
     request was *not* served, and retrying after a short backoff is the
-    correct client response (wire code ``E_RETRY``)."""
+    correct client response."""
+
+    code = E_RETRY
 
 
 class TenantMovedError(RuntimeError):
     """The tenant was re-placed on a live shard while this request was
-    in flight: re-resolve and retry immediately (wire code ``E_MOVED``)."""
+    in flight: re-resolve and retry immediately."""
+
+    code = E_MOVED
 
 
 class OverloadError(RuntimeError):
     """Admission control shed the request: the tenant is over its
-    in-flight budget (wire code ``E_OVERLOAD``); back off and retry."""
+    in-flight budget; back off and retry."""
+
+    code = E_OVERLOAD
 
 
 class UnknownTenantError(KeyError):
     """No tenant with that name is registered with the router."""
+
+    code = E_UNKNOWN_TENANT
 
     def __str__(self) -> str:  # KeyError quotes its arg; keep it readable
         return self.args[0] if self.args else "unknown tenant"
@@ -478,50 +490,29 @@ class ShardRouter:
                 f"({type(exc).__name__}: {exc})"))
         return exc
 
-    async def route(self, tenant: str, src: int, dst: int) -> ServiceResponse:
+    async def _serve(self, tenant: str, rows: int, call):
+        """Resolve, admit ``rows``, await ``call(svc)``, release: the one
+        request path under :meth:`route` and :meth:`route_block`."""
         sid, svc = self._resolve(tenant)
-        self._admit(tenant, 1)
-        try:
-            resp = await svc.route(src, dst)
-        except Exception as exc:
-            record_shard_request(tenant, routes=0, error=True)
-            raise self._died_under(tenant, sid, exc) from None
-        finally:
-            self._release(tenant, 1)
-        record_shard_request(tenant, routes=1)
-        return resp
-
-    async def route_block(
-        self, tenant: str, srcs: np.ndarray, dsts: np.ndarray
-    ) -> BlockResponse:
-        sid, svc = self._resolve(tenant)
-        rows = int(np.asarray(srcs).size)
         self._admit(tenant, rows)
         try:
-            block = await svc.route_block(srcs, dsts)
+            result = await call(svc)
         except Exception as exc:
             record_shard_request(tenant, routes=0, error=True)
             raise self._died_under(tenant, sid, exc) from None
         finally:
             self._release(tenant, rows)
-        record_shard_request(tenant, routes=len(block))
-        return block
+        record_shard_request(tenant, routes=rows)
+        return result
 
-    async def route_many(
-        self, tenant: str, pairs
-    ) -> List[ServiceResponse]:
-        sid, svc = self._resolve(tenant)
-        pairs = list(pairs)
-        self._admit(tenant, len(pairs))
-        try:
-            resps = await svc.route_many(pairs)
-        except Exception as exc:
-            record_shard_request(tenant, routes=0, error=True)
-            raise self._died_under(tenant, sid, exc) from None
-        finally:
-            self._release(tenant, len(pairs))
-        record_shard_request(tenant, routes=len(resps))
-        return resps
+    async def route(self, tenant: str, src: int, dst: int) -> ServiceResponse:
+        return await self._serve(tenant, 1, lambda svc: svc.route(src, dst))
+
+    async def route_block(
+        self, tenant: str, srcs: np.ndarray, dsts: np.ndarray
+    ) -> BlockResponse:
+        return await self._serve(tenant, int(np.asarray(srcs).size),
+                                 lambda svc: svc.route_block(srcs, dsts))
 
     async def inject_faults(
         self, tenant: str, add: Sequence[int] = (),

@@ -15,8 +15,8 @@ import struct
 import pytest
 
 from repro.core import FaultSet
-from repro.service import RoutingService, ServiceConfig, ShardRouter, \
-    WireClient, WireError
+from repro.service import OverloadError, ShardDownError, ShardRetryError, \
+    ShardRouter, TenantMovedError, UnknownTenantError, WireClient, WireError
 from repro.service import wire
 from repro.service.server import serve_forever
 
@@ -25,21 +25,24 @@ FAULTS = FaultSet(nodes=[0, 7, 21])
 PORT = 7530
 
 
-def _serve(svc, port, run):
+def _serve(port, run):
+    """Serve one cube as tenant ``default`` of a one-shard router, with
+    every session bound to it, and run ``run(router)``."""
     async def main():
-        ready = asyncio.Event()
-        server = asyncio.ensure_future(
-            serve_forever(svc, port=port, ready=ready))
-        await ready.wait()
-        try:
-            async with svc:
-                return await run()
-        finally:
-            server.cancel()
+        async with ShardRouter(shards=1, window_us=100) as router:
+            await router.add_tenant("default", dimension=N, faults=FAULTS)
+            ready = asyncio.Event()
+            server = asyncio.ensure_future(serve_forever(
+                router, port=port, ready=ready, tenant="default"))
+            await ready.wait()
             try:
-                await server
-            except asyncio.CancelledError:
-                pass
+                return await run(router)
+            finally:
+                server.cancel()
+                try:
+                    await server
+                except asyncio.CancelledError:
+                    pass
 
     return asyncio.run(main())
 
@@ -62,10 +65,6 @@ async def _line_exchange(port, lines):
 
 
 class TestLineProtocolErrors:
-    def _svc(self):
-        return RoutingService(ServiceConfig(dimension=N, window_us=100),
-                              faults=FAULTS)
-
     def test_malformed_lines_answer_and_session_survives(self):
         bad_then_good = [
             "not a route",          # non-numeric
@@ -78,14 +77,16 @@ class TestLineProtocolErrors:
             "1 2",                  # ...and a real route still works
         ]
 
-        async def run():
+        async def run(_router):
             return await _line_exchange(PORT, bad_then_good)
 
-        replies = _serve(self._svc(), PORT, run)
+        replies = _serve(PORT, run)
         for line, reply in zip(bad_then_good[:-1], replies[:-1]):
             if "error" in reply:
                 assert reply["input"] == line
                 assert reply["error"]  # non-empty message
+                assert isinstance(reply["code"], int)
+                assert reply["code"] == wire.E_BAD_REQUEST
         # the final, well-formed request routed normally
         assert replies[-1]["source"] == 1 and replies[-1]["dest"] == 2
         assert "error" not in replies[-1]
@@ -93,7 +94,7 @@ class TestLineProtocolErrors:
     def test_every_reply_is_one_json_line(self):
         lines = ["garbage", "fault add x", "1 2"]
 
-        async def run():
+        async def run(_router):
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            PORT + 1)
             writer.write(("\n".join(lines) + "\nquit\n").encode())
@@ -103,9 +104,34 @@ class TestLineProtocolErrors:
             await writer.wait_closed()
             return raw
 
-        raw = _serve(self._svc(), PORT + 1, run)
+        raw = _serve(PORT + 1, run)
         replies = [json.loads(v) for v in raw.splitlines() if v.strip()]
         assert len(replies) == len(lines)
+
+    def test_overlong_line_answers_and_session_survives(self):
+        async def run(_router):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           PORT + 6)
+            writer.write(b"1" * 70_000 + b"\n1 2\n")
+            await writer.drain()
+            replies = []
+            while not replies or "error" in replies[-1]:
+                raw = await asyncio.wait_for(reader.readline(), timeout=5)
+                assert raw, "connection died instead of answering"
+                replies.append(json.loads(raw))
+            writer.write(b"quit\n")
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        replies = _serve(PORT + 6, run)
+        # asyncio may split the overlong line into an overrun and a
+        # remainder; either way each piece answers E_BAD_REQUEST
+        assert 1 <= len(replies) - 1 <= 2
+        for reply in replies[:-1]:
+            assert reply["code"] == wire.E_BAD_REQUEST and reply["error"]
+        assert replies[-1]["source"] == 1 and replies[-1]["dest"] == 2
 
     def test_unknown_tenant_on_router_is_structured(self):
         async def run():
@@ -137,12 +163,8 @@ class TestLineProtocolErrors:
 
 
 class TestBinaryProtocolErrors:
-    def _svc(self):
-        return RoutingService(ServiceConfig(dimension=N, window_us=100),
-                              faults=FAULTS)
-
     def test_bad_payload_and_unknown_op_answer_with_error_frames(self):
-        async def run():
+        async def run(_router):
             client = await WireClient.connect("127.0.0.1", PORT + 3)
             async with client:
                 # unknown op
@@ -166,8 +188,7 @@ class TestBinaryProtocolErrors:
                 ok = await client.route(1, 2)
                 return unknown, bad_payload, bad_block, refused, ok
 
-        unknown, bad_payload, bad_block, refused, ok = _serve(
-            self._svc(), PORT + 3, run)
+        unknown, bad_payload, bad_block, refused, ok = _serve(PORT + 3, run)
         assert unknown == wire.E_UNKNOWN_OP
         assert bad_payload == wire.E_BAD_REQUEST
         assert bad_block == wire.E_BAD_REQUEST
@@ -175,7 +196,7 @@ class TestBinaryProtocolErrors:
         assert ok.epoch == 1
 
     def test_error_frames_carry_the_request_id(self):
-        async def run():
+        async def run(_router):
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            PORT + 4)
             writer.write(wire.encode_frame(0x42, 777, b""))
@@ -187,13 +208,13 @@ class TestBinaryProtocolErrors:
             await writer.wait_closed()
             return op, req_id, wire.decode_error(payload)
 
-        op, req_id, err = _serve(self._svc(), PORT + 4, run)
+        op, req_id, err = _serve(PORT + 4, run)
         assert op == wire.OP_ERROR
         assert req_id == 777
         assert err.code == wire.E_UNKNOWN_OP
 
     def test_framing_desync_closes_cleanly_without_killing_server(self):
-        async def run():
+        async def run(_router):
             # session 1: magic byte followed by garbage -> desync, close
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            PORT + 5)
@@ -210,5 +231,33 @@ class TestBinaryProtocolErrors:
             async with client:
                 return await client.route(1, 2)
 
-        ok = _serve(self._svc(), PORT + 5, run)
+        ok = _serve(PORT + 5, run)
         assert ok.epoch == 1
+
+
+class TestOneErrorTable:
+    @pytest.mark.parametrize("exc, code", [
+        (ShardDownError("shard 0 is down"), wire.E_SHARD_DOWN),
+        (ShardRetryError("failover pending"), wire.E_RETRY),
+        (TenantMovedError("moved to shard 1"), wire.E_MOVED),
+        (OverloadError("over budget"), wire.E_OVERLOAD),
+        (UnknownTenantError("tenant 'x' is not registered"),
+         wire.E_UNKNOWN_TENANT),
+        (RuntimeError("unexpected"), wire.E_INTERNAL),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else "")
+    def test_binary_and_line_report_the_same_code(self, exc, code):
+        async def fail(*args, **kwargs):
+            raise exc
+
+        async def run(router):
+            router.route = fail
+            client = await WireClient.connect("127.0.0.1", PORT + 7)
+            async with client:
+                with pytest.raises(WireError) as excinfo:
+                    await client.route(1, 2)
+            (line,) = await _line_exchange(PORT + 7, ["1 2"])
+            return excinfo.value, line
+
+        frame, line = _serve(PORT + 7, run)
+        assert frame.code == line["code"] == code
+        assert str(exc) in frame.message and str(exc) in line["error"]

@@ -17,8 +17,7 @@ import pytest
 from repro.core import FaultSet, Hypercube
 from repro.routing.batch import route_unicast_batch
 from repro.safety.levels import compute_safety_levels
-from repro.service import RoutingService, ServiceConfig, WireClient, \
-    WireError
+from repro.service import ShardRouter, WireClient, WireError
 from repro.service import wire
 from repro.service.server import serve_forever
 from repro.service.service import REJECTED_CODE
@@ -93,24 +92,26 @@ class TestCodecs:
             wire.decode_block(payload[:-3])
 
 
-def _serve(svc, port, run):
-    """Run ``run(client)`` against a served ``svc`` on a fresh loop."""
+def _serve(port, run, window_us):
+    """Run ``run(client)`` against one served cube on a fresh loop: tenant
+    ``default`` of a one-shard router, with every session bound to it."""
     async def main():
-        ready = asyncio.Event()
-        server = asyncio.ensure_future(
-            serve_forever(svc, port=port, ready=ready))
-        await ready.wait()
-        try:
-            async with svc:
+        async with ShardRouter(shards=1, window_us=window_us) as router:
+            await router.add_tenant("default", dimension=N, faults=FAULTS)
+            ready = asyncio.Event()
+            server = asyncio.ensure_future(serve_forever(
+                router, port=port, ready=ready, tenant="default"))
+            await ready.wait()
+            try:
                 client = await WireClient.connect("127.0.0.1", port)
                 async with client:
                     return await run(client)
-        finally:
-            server.cancel()
-            try:
-                await server
-            except asyncio.CancelledError:
-                pass
+            finally:
+                server.cancel()
+                try:
+                    await server
+                except asyncio.CancelledError:
+                    pass
 
     return asyncio.run(main())
 
@@ -118,13 +119,11 @@ def _serve(svc, port, run):
 class TestEndToEnd:
     def test_block_response_bit_identical_to_offline(self):
         srcs, dsts = _workload(200, seed=1)
-        svc = RoutingService(ServiceConfig(dimension=N, window_us=200),
-                             faults=FAULTS)
 
         async def run(client):
             return await client.route_block(srcs, dsts)
 
-        reply = _serve(svc, PORT, run)
+        reply = _serve(PORT, run, window_us=200)
         topo = Hypercube(N)
         levels = compute_safety_levels(topo, FAULTS)
         ref = route_unicast_batch(topo, levels, srcs, dsts)
@@ -138,8 +137,6 @@ class TestEndToEnd:
 
     def test_pipelined_singles_match_offline_in_request_order(self):
         srcs, dsts = _workload(60, seed=2)
-        svc = RoutingService(ServiceConfig(dimension=N, window_us=300),
-                             faults=FAULTS)
 
         async def run(client):
             # fire every request before awaiting any reply: pipelining
@@ -147,7 +144,7 @@ class TestEndToEnd:
                      for s, d in zip(srcs, dsts)]
             return await asyncio.gather(*calls)
 
-        replies = _serve(svc, PORT + 1, run)
+        replies = _serve(PORT + 1, run, window_us=300)
         topo = Hypercube(N)
         levels = compute_safety_levels(topo, FAULTS)
         ref = route_unicast_batch(topo, levels, srcs, dsts)
@@ -157,8 +154,6 @@ class TestEndToEnd:
             assert reply.hops == int(ref.hops[0, k])
 
     def test_fault_injection_bumps_epoch_on_the_wire(self):
-        svc = RoutingService(ServiceConfig(dimension=N, window_us=100),
-                             faults=FAULTS)
 
         async def run(client):
             before = await client.route(1, 9)
@@ -167,15 +162,14 @@ class TestEndToEnd:
             epoch, faults = await client.epoch()
             return before, swap, after, epoch, faults
 
-        before, swap, after, epoch, faults = _serve(svc, PORT + 2, run)
+        before, swap, after, epoch, faults = _serve(PORT + 2, run,
+                                                    window_us=100)
         assert before.epoch == 1 and before.status != REJECTED_CODE
         assert swap.epoch == 2 and swap.added == 1 and swap.spare
         assert after.epoch == 2 and after.status == REJECTED_CODE
         assert (epoch, faults) == (2, len(FAULTS.nodes) + 1)
 
     def test_error_frame_keeps_connection_alive(self):
-        svc = RoutingService(ServiceConfig(dimension=N, window_us=100),
-                             faults=FAULTS)
 
         async def run(client):
             with pytest.raises(WireError) as excinfo:
@@ -185,13 +179,11 @@ class TestEndToEnd:
             reply = await client.route(1, 2)
             return code, reply
 
-        code, reply = _serve(svc, PORT + 3, run)
+        code, reply = _serve(PORT + 3, run, window_us=100)
         assert code == wire.E_UNKNOWN_OP
         assert reply.epoch == 1
 
     def test_line_protocol_still_served_on_same_port(self):
-        svc = RoutingService(ServiceConfig(dimension=N, window_us=100),
-                             faults=FAULTS)
 
         async def run(_client):
             import json
@@ -209,7 +201,7 @@ class TestEndToEnd:
             await writer.wait_closed()
             return route, epoch
 
-        route, epoch = _serve(svc, PORT + 4, run)
+        route, epoch = _serve(PORT + 4, run, window_us=100)
         assert route["source"] == 1 and route["dest"] == 2
         assert route["epoch"] == 1
         assert epoch["epoch"] == 1

@@ -15,7 +15,7 @@ import struct
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.service import RoutingService, ServiceConfig, WireClient
+from repro.service import ShardRouter, WireClient
 from repro.service import wire
 from repro.service.server import serve_forever
 
@@ -98,13 +98,13 @@ async def _fuzz_session(port, raw, followup_route=True):
     Everything is under wait_for: a hang fails the test, it cannot wedge
     the suite.
     """
-    svc = RoutingService(ServiceConfig(dimension=4, window_us=100))
-    ready = asyncio.Event()
-    server = asyncio.ensure_future(serve_forever(svc, port=port,
-                                                 ready=ready))
-    await asyncio.wait_for(ready.wait(), timeout=5)
-    try:
-        async with svc:
+    async with ShardRouter(shards=1, window_us=100) as router:
+        await router.add_tenant("default", dimension=4)
+        ready = asyncio.Event()
+        server = asyncio.ensure_future(serve_forever(
+            router, port=port, ready=ready, tenant="default"))
+        await asyncio.wait_for(ready.wait(), timeout=5)
+        try:
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            port)
             writer.write(raw)
@@ -131,10 +131,14 @@ async def _fuzz_session(port, raw, followup_route=True):
                 assert len(buf) == 0, "server emitted a torn frame"
             else:
                 # the compat shim answered as the line protocol: every
-                # reply line is one structured JSON object
+                # reply line is one structured JSON object, and every
+                # error line carries its wire code
                 for line in replies.splitlines():
                     if line.strip():
-                        assert isinstance(json.loads(line), dict)
+                        reply = json.loads(line)
+                        assert isinstance(reply, dict)
+                        if "error" in reply:
+                            assert isinstance(reply["code"], int)
 
             if followup_route:
                 client = await WireClient.connect("127.0.0.1", port)
@@ -142,12 +146,12 @@ async def _fuzz_session(port, raw, followup_route=True):
                     ok = await asyncio.wait_for(client.route(1, 2),
                                                 timeout=10)
                     assert ok.epoch == 1
-    finally:
-        server.cancel()
-        try:
-            await server
-        except asyncio.CancelledError:
-            pass
+        finally:
+            server.cancel()
+            try:
+                await server
+            except asyncio.CancelledError:
+                pass
 
 
 class TestServerSurvivesGarbage:

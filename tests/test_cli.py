@@ -1,10 +1,14 @@
 """Tests for the CLI entry point and its experiment registry."""
 
+import asyncio
 import json
+import threading
+import time
 
 import pytest
 
 from repro.cli import REGISTRY, ExperimentSpec, RunContext, main
+from repro.service import WireClient, wire
 
 
 class TestCli:
@@ -90,3 +94,61 @@ class TestStatsCommand:
         bad.write_text('{"not": "an event"}\n')
         assert main(["stats", str(bad)]) == 1
         assert "schema" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    PORT = 7580
+
+    def test_single_cube_serves_tenant_default(self, capsys):
+        """``repro serve`` without ``--shards``: one cube as tenant
+        ``default``, tenant-less sessions bound to it, no other name."""
+        results = {}
+
+        async def exchange():
+            deadline = time.monotonic() + 2.5
+            while True:
+                try:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", self.PORT)
+                    break
+                except OSError:
+                    if time.monotonic() > deadline:
+                        raise
+                    await asyncio.sleep(0.05)
+            replies = []
+            for line in ("1 2", "tenant default", "tenant other"):
+                writer.write(line.encode() + b"\n")
+                await writer.drain()
+                replies.append(json.loads(
+                    await asyncio.wait_for(reader.readline(), timeout=5)))
+            writer.write(b"quit\n")
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            async with await WireClient.connect("127.0.0.1",
+                                                self.PORT) as client:
+                replies.append(
+                    await asyncio.wait_for(client.route(1, 2), timeout=5))
+            return replies
+
+        def client():
+            try:
+                results["replies"] = asyncio.run(exchange())
+            except Exception as exc:  # surfaced on the main thread
+                results["error"] = exc
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        assert main(["serve", "--dim", "5", "--fault-nodes", "0", "7", "21",
+                     "--port", str(self.PORT), "--duration", "3"]) == 0
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert "error" not in results, results["error"]
+        line_route, bound, other, frame_route = results["replies"]
+        assert line_route["source"] == 1 and line_route["epoch"] == 1
+        assert bound == {"tenant": "default", "epoch": 1, "n": 5}
+        assert other["code"] == wire.E_UNKNOWN_TENANT
+        assert frame_route.epoch == 1
+        out = capsys.readouterr().out
+        assert (f"repro serve: Q5 with 3 faults on 127.0.0.1:{self.PORT} "
+                f"(backend=inline, epoch 1)") in out
