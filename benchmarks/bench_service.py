@@ -56,7 +56,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"sharded blocks: {report['sharded']['routes_per_second']:,.0f} "
           f"routes/s over {report['sharded']['shards']} shards "
           f"({report['sharded']['speedup_vs_batched']:.1f}x batched, floor "
-          f"{MIN_SHARDED_SPEEDUP:.0f}x in full mode)")
+          f"{MIN_SHARDED_SPEEDUP:.0f}x in full mode; "
+          f"{report['sharded']['speedup_vs_offline']:.2f}x the offline "
+          f"kernel's {report['sharded']['offline_routes_per_s']:,.0f})")
     print(f"open-loop latency @ {latency['offered_rps']:,.0f} rps: "
           f"steady p50/p95/p99 {latency['steady']['p50_ms']:.2f}/"
           f"{latency['steady']['p95_ms']:.2f}/"

@@ -60,6 +60,9 @@ GATES = {
     "service": ("BENCH_service.json", [
         ("band", "speedup_batched", None),
         ("band", "sharded.speedup_vs_batched", 2.0),
+        # The kernel-to-service gap: sharded serving's share of the
+        # offline single-thread kernel rate on the same blocks.
+        ("band", "sharded.speedup_vs_offline", None),
         ("at_most", "latency.p99_ratio", 1.5),
         ("zero", "churn.torn_reads", None),
         ("zero", "churn.dropped", None),

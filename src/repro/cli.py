@@ -129,7 +129,7 @@ def _cmd_serve(argv: List[str]) -> int:
     import numpy as np
 
     from .core.faults import FaultSet
-    from .service import ShardRouter
+    from .service import ServiceConfig, ShardRouter
     from .service.server import serve_forever
 
     parser = argparse.ArgumentParser(
@@ -153,8 +153,17 @@ def _cmd_serve(argv: List[str]) -> int:
     parser.add_argument("--workers", type=int, default=0,
                         help="routing worker processes attaching the "
                              "shared-memory tables (0 = inline backend)")
-    parser.add_argument("--max-batch", type=int, default=256)
-    parser.add_argument("--window-us", type=int, default=500)
+    parser.add_argument("--max-batch", type=int,
+                        default=ServiceConfig.max_batch,
+                        help="row cap of one kernel call; a tenant runs "
+                             "one call at a time and coalesces what "
+                             "queues behind it, up to this many rows "
+                             "(default %(default)s)")
+    parser.add_argument("--window-us", type=int,
+                        default=ServiceConfig.window_us,
+                        help="how long a single route's window "
+                             "gathers others to batch with; blocks skip "
+                             "it (default %(default)s)")
     parser.add_argument("--shards", type=int, default=0,
                         help="serve this many shards of --tenant cubes "
                              "instead of one --dim cube as tenant "

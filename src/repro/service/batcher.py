@@ -3,23 +3,26 @@
 One route request is a terrible unit of work for the batched kernels: the
 vectorized walk amortizes numpy dispatch over thousands of routes, so
 answering requests one call at a time pays full per-call overhead for a
-single row.  The :class:`MicroBatcher` closes that gap by aggregating
-concurrent requests inside a **size/deadline window**:
+single row.  The :class:`MicroBatcher` closes that gap by putting every
+flush through one **lane** and aggregating whatever queues behind it:
 
-* the first request of a window starts a deadline clock
-  (``window_us``);
-* further requests join the window until either the deadline fires or
-  ``max_batch`` *rows* are waiting — whichever comes first flushes;
-* a flush hands the whole batch to the service's executor as *one*
-  kernel call and immediately starts collecting the next window, so
-  batching and kernel execution overlap instead of serializing.
+* at most one flush per batcher is in flight; while it runs, new
+  entries queue, and when it finishes the collector takes every queued
+  entry, up to ``max_batch`` *rows*, as the next flush — *one* kernel
+  call — so a busy tenant's calls grow instead of multiplying;
+* a **single** opens a ``window_us`` deadline clock, and further
+  singles join it until the deadline fires or ``max_batch`` rows are
+  waiting — whichever comes first closes the window, and its entries go
+  out as soon as the lane is free;
+* a **block** skips the window: it has already paid for its own call,
+  and the window exists only to gather singles.
 
 Entries come in two shapes.  A **single** is one ``(src, dst)`` pair —
 the interactive path.  A **block** is a whole vector of pairs submitted
 as one entry with one future (:meth:`submit_block`) — the wire path's
 unit, which is what lets a pipelined client push thousands of routes
 through the event loop while paying per-*entry* (not per-route) asyncio
-overhead.  The window accounting is row-based: a block counts as its row
+overhead.  The accounting is row-based: a block counts as its row
 count, and entries are never split across flushes — a block's response
 always comes from exactly one kernel call against exactly one epoch.
 
@@ -123,20 +126,21 @@ class _RowGate:
 
 
 class MicroBatcher:
-    """Size/deadline aggregation in front of an async flush callback.
+    """One-lane size/deadline aggregation in front of an async flush callback.
 
     ``flush`` receives each batch exactly once and owns resolving the
     futures; the batcher guarantees ordering *within* a batch matches
-    submission order (the kernel's row order is the arrival order), and
-    that no admitted entry is ever abandoned.
+    submission order (the kernel's row order is the arrival order), that
+    no two flushes overlap, and that no admitted entry is ever abandoned.
     """
 
     def __init__(
         self,
         flush: FlushFn,
-        max_batch: int = 256,
-        window_us: int = 500,
-        max_pending: int = 32_768,
+        *,
+        max_batch: int,
+        window_us: int,
+        max_pending: int,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -146,12 +150,16 @@ class MicroBatcher:
         self.window_us = window_us
         self._queue: List[object] = []
         self._queued_rows = 0
+        self._queued_blocks = 0
         self._gate = _RowGate(max_pending)
+        #: Set when the lane frees, the window should close early, or
+        #: the batcher closes; the collector waits on it.
         self._wakeup = asyncio.Event()
         self._closed = False
         self._abort_exc: Optional[BaseException] = None
         self._flush = flush
-        self._inflight: set = set()
+        #: The one flush in flight, or None while the lane is free.
+        self._lane: Optional[asyncio.Task] = None
         self._collector: Optional[asyncio.Task] = None
         #: Lifetime count of dispatched batches (benchmark batch-size math).
         self.flushes = 0
@@ -184,10 +192,12 @@ class MicroBatcher:
         entry.future = loop.create_future()
         self._queue.append(entry)
         self._queued_rows += rows
+        block = isinstance(entry, PendingBlock)
+        self._queued_blocks += block
         if self._collector is None or self._collector.done():
             self._collector = loop.create_task(self._collect())
-        elif self._queued_rows >= self.max_batch:
-            self._wakeup.set()
+        elif block or self._queued_rows >= self.max_batch:
+            self._wakeup.set()  # close the open window now
         try:
             return await entry.future
         finally:
@@ -233,46 +243,57 @@ class MicroBatcher:
             rows=len(srcs),
         )
 
-    # -- the window ----------------------------------------------------------
+    # -- the lane ------------------------------------------------------------
 
     def _take_batch(self) -> List[object]:
         """Pop entries for one flush: greedy by rows, entries never split."""
         rows = 0
+        blocks = 0
         count = 0
         for entry in self._queue:
             if count and rows >= self.max_batch:
                 break
             rows += entry.rows
+            blocks += isinstance(entry, PendingBlock)
             count += 1
         batch, self._queue = self._queue[:count], self._queue[count:]
         self._queued_rows -= rows
+        self._queued_blocks -= blocks
         return batch
 
-    async def _collect(self) -> None:
-        """Run one window: wait for deadline/size, then dispatch the batch.
+    def _holds_window(self) -> bool:
+        """True while only singles are queued, below ``max_batch`` rows."""
+        return (self.window_us > 0 and not self._closed
+                and not self._queued_blocks
+                and self._queued_rows < self.max_batch)
 
-        A fresh collector task starts with each window's first entry, so
-        an idle batcher costs nothing and the deadline clock always
-        measures from *this* window's opening entry.
+    async def _collect(self) -> None:
+        """Feed the lane, one flush at a time, until the queue is empty.
+
+        A collector starts with the first entry queued after the last one
+        emptied the queue, so the window's deadline measures from that
+        entry.  Singles hold their window even behind a busy lane (the
+        lane freeing does not close it); after that, each time the lane
+        frees, the collector sends everything queued (up to ``max_batch``
+        rows) as one flush.
         """
-        if self.window_us and self._queued_rows < self.max_batch:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.window_us / 1e6
+        while self._holds_window():
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
             self._wakeup.clear()
             try:
-                await asyncio.wait_for(self._wakeup.wait(),
-                                       timeout=self.window_us / 1e6)
+                await asyncio.wait_for(self._wakeup.wait(), remaining)
             except asyncio.TimeoutError:
-                pass
-        batch = self._take_batch()
-        if self._queue:
-            # Overflow beyond max_batch opens the next window immediately.
-            self._collector = asyncio.get_running_loop().create_task(
-                self._collect())
-        if not batch:
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._run_flush(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+                break
+        while self._queue:
+            if self._lane is not None:
+                self._wakeup.clear()
+                await self._wakeup.wait()
+                continue
+            self._lane = loop.create_task(self._run_flush(self._take_batch()))
 
     async def _run_flush(self, batch: List[object]) -> None:
         self.flushes += 1
@@ -289,26 +310,26 @@ class MicroBatcher:
                 if not req.future.done():  # pragma: no cover - defensive
                     req.future.set_exception(
                         RuntimeError("flush left a request unresolved"))
+        finally:
+            self._lane = None
+            self._wakeup.set()
 
     # -- shutdown ------------------------------------------------------------
 
     async def drain(self) -> None:
-        """Stop admitting, flush stragglers, await in-flight batches."""
+        """Stop admitting, flush stragglers, await the lane."""
         self._closed = True
         self._wakeup.set()
         self._gate.wake_all()
         if self._collector is not None and not self._collector.done():
             await self._collector
-        while self._queue:
-            await self._run_flush(self._take_batch())
-        while self._inflight:
-            await asyncio.gather(*tuple(self._inflight),
-                                 return_exceptions=True)
+        if self._lane is not None:
+            await asyncio.gather(self._lane, return_exceptions=True)
 
     def abort(self, exc: BaseException) -> None:
         """Forced teardown: fail every queued entry with ``exc``, admit
-        nothing more.  In-flight flushes are left to finish (they hold
-        their own futures); this is the kill-shard path, where queued
+        nothing more.  The flush in the lane is left to finish (it holds
+        its own futures); this is the kill-shard path, where queued
         work must fail *loudly* rather than hang or half-route.  The
         cause is remembered: later submits are refused with a fresh
         instance of it, so a request racing a shard kill still hears the
@@ -320,6 +341,7 @@ class MicroBatcher:
         self._gate.wake_all()
         queue, self._queue = self._queue, []
         self._queued_rows = 0
+        self._queued_blocks = 0
         for entry in queue:
             if entry.future is not None and not entry.future.done():
                 entry.future.set_exception(exc)

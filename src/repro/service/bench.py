@@ -12,12 +12,15 @@ Six measurements over one faulty cube, all through the real
 * **Sharded block throughput.**  Two tenants on a two-shard
   :class:`~repro.service.ShardRouter`, driven with whole route *blocks*
   (the wire protocol's ``BLOCK`` op shape: one batcher entry, one
-  future, one kernel call per frame).  The block path is what a
-  pipelined binary client exercises, and the run asserts it clears
-  :data:`MIN_SHARDED_SPEEDUP` over the per-request batched figure —
-  then re-routes every tenant's full workload as one verification block
-  and requires bit-identical agreement with the offline kernel on every
-  shard.
+  future; blocks queued behind a tenant's running kernel call share its
+  next one).  The block path is what a pipelined binary client
+  exercises, and the run asserts it clears :data:`MIN_SHARDED_SPEEDUP`
+  over the per-request batched figure — then re-routes every tenant's
+  full workload as one verification block and requires bit-identical
+  agreement with the offline kernel on every shard.  The same blocks
+  are then routed offline, one ``route_with_table`` call each on one
+  thread, and the sharded/offline ratio is reported: the service's
+  share of the kernel's own rate.
 * **Open-loop latency, steady phase.**  Requests arrive on a fixed
   schedule (a fraction of the measured batched throughput) regardless of
   completions, so queueing shows up honestly; per-request latency
@@ -64,7 +67,7 @@ from ..chaos.plan import ChaosPlan, NodeKill
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE, \
-    route_unicast_batch
+    pack_neighbor_levels, route_unicast_batch, route_with_table
 from ..safety.levels import compute_safety_levels
 from .health import FailureDetector, HealthConfig
 from .service import REJECTED, RoutingService, ServiceConfig, ServiceResponse
@@ -116,6 +119,9 @@ _BLOCK_STREAMS = 8
 
 #: Best-of-N repeats for each open-loop latency phase.
 _LATENCY_REPEATS = 3
+
+#: Best-of-N passes for the offline kernel rate of the sharded phase.
+_OFFLINE_REPEATS = 3
 
 #: Failover soak scale: (requests, arrival rate rps, fault injections).
 _SOAK_FULL = (6_000, 2_500.0, 6)
@@ -273,6 +279,27 @@ async def _block_loop(
     return routed / elapsed, routed
 
 
+def _offline_rps(
+    topo: Hypercube,
+    faults: FaultSet,
+    blocks: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+) -> float:
+    """Single-thread ``route_with_table`` over the same blocks, one call
+    per block: the kernel's own rate, the ceiling the sharded figure is
+    held against.  Best of :data:`_OFFLINE_REPEATS` passes."""
+    levels = np.asarray(compute_safety_levels(topo, faults), dtype=np.int8)
+    packed = pack_neighbor_levels(levels, topo.dimension)
+    routed = sum(len(srcs) for _, srcs, _ in blocks)
+    best = float("inf")
+    for _ in range(_OFFLINE_REPEATS):
+        start = time.perf_counter()
+        for _, srcs, dsts in blocks:
+            route_with_table(topo, levels, packed, srcs[None, :],
+                             dsts[None, :])
+        best = min(best, time.perf_counter() - start)
+    return routed / best
+
+
 async def _sharded_run(
     topo: Hypercube,
     faults: FaultSet,
@@ -317,6 +344,7 @@ async def _sharded_run(
         placement = {name: router.shard_of(name) for name in tenants}
 
     assert routed == rounds * len(pairs), "sharded run dropped routes"
+    offline_rps = _offline_rps(topo, faults, blocks)
     return {
         "shards": shards,
         "tenants": placement,
@@ -324,6 +352,8 @@ async def _sharded_run(
         "streams": _BLOCK_STREAMS,
         "requests": routed,
         "routes_per_second": round(rps, 1),
+        "offline_routes_per_s": round(offline_rps, 1),
+        "speedup_vs_offline": round(rps / offline_rps, 3),
         "verified_routes": len(tenants) * len(pairs),
         "bit_identical_to_offline": True,
     }
@@ -577,7 +607,10 @@ async def _soak(quick: bool, workers: int) -> Dict:
         lat_ms = np.asarray([r[2] for r in sample]) * 1e3
         return round(float(np.percentile(lat_ms, 99)), 3)
 
-    assert len(kills) == 2, f"expected 2 failovers, saw {len(kills)}"
+    assert len(kills) == 2, (
+        f"expected 2 failovers, saw {len(kills)}: " + "; ".join(
+            f"shard {k['shard']} {k['detected']} in {k['failover_ms']} ms"
+            for k in kills))
     assert {k["detected"] for k in kills} == {"inferred", "injected"}
     assert disrupted, "no request ever observed a failover window"
     assert sum(k["epochs_replayed"] for k in kills) > 0, (

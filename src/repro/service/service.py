@@ -8,7 +8,8 @@
   resealing a warm-spare segment off the request path;
 * a :class:`~repro.service.batcher.MicroBatcher` aggregating concurrent
   ``route()`` calls — and whole :meth:`route_block` vectors — into
-  single batched-kernel executions within a size/deadline window;
+  single batched-kernel executions, one in flight at a time, with what
+  queues behind it coalesced into the next;
 * an execution backend — the asyncio loop's thread executor
   (``workers=0``; the kernel releases the GIL inside numpy, so one
   thread suffices until epoch tables stop fitting in cache) or a
@@ -51,7 +52,7 @@ from ..obs.instruments import metrics, record_block_submission, \
     record_service_batch
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
 from .batcher import MicroBatcher, PendingBlock, PendingRequest
-from .epoch import EpochManager, EpochSwap
+from .epoch import DEFAULT_SPARES, EpochManager, EpochSwap
 from .shm import TornTableError
 from .workers import clear_table_cache, route_task
 
@@ -96,16 +97,23 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables for one :class:`RoutingService` instance."""
+    """Tunables for one :class:`RoutingService` instance.
+
+    The one owner of the service defaults: :class:`ShardRouter` and
+    ``repro serve`` read them from here.
+    """
 
     dimension: int
-    max_batch: int = 256
+    #: Row cap of one flush (one kernel call).
+    max_batch: int = 4096
+    #: How long a single's window gathers other singles (blocks skip it).
     window_us: int = 500
     workers: int = 0
     tie_break: str = "lowest-dim"
+    #: Rows admitted (queued or executing) before submitters wait.
     max_pending: int = 32_768
     #: Warm-spare ring size for the epoch manager.
-    spares: int = 2
+    spares: int = DEFAULT_SPARES
 
 
 @dataclass(frozen=True)

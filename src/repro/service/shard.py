@@ -272,10 +272,10 @@ class ShardRouter:
         self,
         shards: int = 2,
         workers: int = 0,
-        max_batch: int = 256,
-        window_us: int = 500,
-        max_pending: int = 32_768,
-        spares: int = 2,
+        max_batch: int = ServiceConfig.max_batch,
+        window_us: int = ServiceConfig.window_us,
+        max_pending: int = ServiceConfig.max_pending,
+        spares: int = ServiceConfig.spares,
         vnodes: int = 64,
         auto_failover: bool = False,
         max_tenant_inflight: Optional[int] = None,

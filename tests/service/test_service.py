@@ -4,12 +4,15 @@ The load-bearing claim is **bit-identity**: a response from the service —
 through the batcher, the shared-memory table, and either backend — equals
 the offline ``route_unicast_batch`` outcome for (epoch fault set, src,
 dst), for every epoch a churn run touches.  Around it: batching window
-semantics, rejection of bad endpoints, ``repro stats`` aggregation of the
-service telemetry, and segment hygiene at shutdown.
+and lane semantics (one kernel call in flight per batcher, queued work
+coalesced behind it), rejection of bad endpoints, ``repro stats``
+aggregation of the service telemetry, and segment hygiene at shutdown.
 """
 
 import asyncio
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.routing.batch import (
 )
 from repro.safety.levels import compute_safety_levels
 from repro.service import RoutingService, ServiceConfig
+from repro.service import service as service_mod
 from repro.service.bench import _cross_check
 from repro.service.shm import segment_exists
 
@@ -181,6 +185,222 @@ class TestBatchingSemantics:
                 await svc.route(1, 2)
 
         asyncio.run(run())
+
+
+class _GatedKernel:
+    """Stands in for ``route_task``: records each kernel call's rows and
+    overlap, and holds calls until :attr:`release` is set, so a test can
+    queue work behind a busy lane."""
+
+    def __init__(self, hold: bool = False, delay_s: float = 0.0) -> None:
+        self.rows = []
+        self.epochs = []
+        self.active = 0
+        self.max_active = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not hold:
+            self.release.set()
+        self.delay_s = delay_s
+        self._lock = threading.Lock()
+        self._route = service_mod.route_task
+
+    def __call__(self, segment, epoch, n, srcs, dsts, tie_break):
+        with self._lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+            self.rows.append(len(srcs))
+            self.epochs.append(epoch)
+        self.entered.set()
+        try:
+            assert self.release.wait(timeout=10), "kernel never released"
+            time.sleep(self.delay_s)
+            return self._route(segment, epoch, n, srcs, dsts, tie_break)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """A held :class:`_GatedKernel` patched in where the service calls it."""
+    gated = _GatedKernel(hold=True)
+    monkeypatch.setattr(service_mod, "route_task", gated)
+    yield gated
+    gated.release.set()
+
+
+async def _until(flag: threading.Event) -> None:
+    for _ in range(5_000):
+        if flag.is_set():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("timed out waiting on the kernel")
+
+
+async def _submit_spaced(svc, blocks):
+    """Submit blocks a few windows apart, each as its own task."""
+    tasks = []
+    for srcs, dsts in blocks:
+        tasks.append(asyncio.ensure_future(svc.route_block(srcs, dsts)))
+        await asyncio.sleep(0.002)
+    return tasks
+
+
+def _blocks(count, rows, seed):
+    pairs = _workload(count * rows, seed=seed)
+    srcs = np.array([s for s, _ in pairs], dtype=np.int64)
+    dsts = np.array([d for _, d in pairs], dtype=np.int64)
+    return [(srcs[k * rows:(k + 1) * rows], dsts[k * rows:(k + 1) * rows])
+            for k in range(count)]
+
+
+def _assert_offline(block, srcs, dsts, faults):
+    _levels, ref = _offline(Hypercube(N), faults, list(zip(srcs, dsts)))
+    assert np.array_equal(block.status.astype(np.int64),
+                          ref.status.reshape(-1))
+    assert np.array_equal(block.condition.astype(np.int64),
+                          ref.condition.reshape(-1))
+    assert np.array_equal(block.hops, ref.hops.reshape(-1))
+    assert np.array_equal(block.hamming, ref.hamming.reshape(-1))
+
+
+class TestLane:
+    def test_blocks_queued_behind_a_flush_share_one_later_call(self, kernel):
+        first, *queued = _blocks(4, 8, seed=11)
+
+        async def run():
+            async with RoutingService(ServiceConfig(dimension=N),
+                                      faults=FAULTS) as svc:
+                head = asyncio.ensure_future(svc.route_block(*first))
+                await _until(kernel.entered)
+                tail = await _submit_spaced(svc, queued)
+                assert kernel.rows == [8]  # all three queue behind head
+                kernel.release.set()
+                return await head, await asyncio.gather(*tail), \
+                    svc.batcher.flushes
+
+        head, tail, flushes = asyncio.run(run())
+        assert kernel.rows == [8, 24]
+        assert flushes == 2
+        assert len(head) == 8 and [len(b) for b in tail] == [8, 8, 8]
+
+    def test_flushes_of_one_batcher_never_overlap(self, monkeypatch):
+        gated = _GatedKernel(delay_s=0.002)
+        monkeypatch.setattr(service_mod, "route_task", gated)
+        blocks = _blocks(12, 8, seed=12)
+        singles = _workload(40, seed=13)
+
+        async def run():
+            config = ServiceConfig(dimension=N, max_batch=16, window_us=0)
+            async with RoutingService(config, faults=FAULTS) as svc:
+                await asyncio.gather(
+                    *(svc.route_block(*b) for b in blocks),
+                    svc.route_many(singles))
+                return svc.batcher.flushes
+
+        flushes = asyncio.run(run())
+        assert gated.max_active == 1
+        assert flushes == len(gated.rows) > 1
+        assert sum(gated.rows) == 12 * 8 + 40
+        assert max(gated.rows) <= 16 + 8  # greedy rows, blocks never split
+
+    def test_block_on_idle_batcher_skips_the_window(self):
+        (srcs, dsts), = _blocks(1, 8, seed=14)
+
+        async def run():
+            config = ServiceConfig(dimension=N, window_us=60_000)
+            async with RoutingService(config, faults=FAULTS) as svc:
+                await svc.route(1, 2)  # warm: the table is attached
+                start = time.perf_counter()
+                block = await svc.route_block(srcs, dsts)
+                return block, time.perf_counter() - start
+
+        block, elapsed = asyncio.run(run())
+        assert elapsed < 0.03, f"block waited {elapsed * 1e3:.1f} ms"
+        _assert_offline(block, srcs, dsts, FAULTS)
+
+    def test_coalesced_blocks_share_one_epoch_and_match_offline(self,
+                                                                 kernel):
+        first, *queued = _blocks(5, 6, seed=15)
+        used = {int(v) for b in (first, *queued) for v in (*b[0], *b[1])}
+        victim = next(v for v in range(1 << N)
+                      if v not in used and not FAULTS.is_node_faulty(v))
+        after = FaultSet(nodes=sorted(FAULTS.nodes | {victim}))
+
+        async def run():
+            async with RoutingService(ServiceConfig(dimension=N),
+                                      faults=FAULTS) as svc:
+                head = asyncio.ensure_future(svc.route_block(*first))
+                await _until(kernel.entered)
+                # the epoch moves on while the lane is busy: the held
+                # flush keeps epoch 1, the coalesced one pins epoch 2
+                await svc.inject_faults(add=[victim])
+                tail = await _submit_spaced(svc, queued)
+                kernel.release.set()
+                return await head, await asyncio.gather(*tail)
+
+        head, tail = asyncio.run(run())
+        assert kernel.rows == [6, 24]
+        assert kernel.epochs == [1, 2]
+        assert head.epoch == 1
+        _assert_offline(head, *first, FAULTS)
+        assert {b.epoch for b in tail} == {2}
+        for block, (srcs, dsts) in zip(tail, queued):
+            assert np.array_equal(block.sources, srcs)
+            _assert_offline(block, srcs, dsts, after)
+
+    def test_drain_resolves_everything_queued_behind_the_lane(self, kernel):
+        first, *queued = _blocks(3, 8, seed=16)
+        singles = _workload(5, seed=17)
+
+        async def run():
+            svc = RoutingService(ServiceConfig(dimension=N), faults=FAULTS)
+            async with svc:
+                head = asyncio.ensure_future(svc.route_block(*first))
+                await _until(kernel.entered)
+                tail = await _submit_spaced(svc, queued)
+                tail += [asyncio.ensure_future(svc.route(s, d))
+                         for s, d in singles]
+                await asyncio.sleep(0.02)
+                closing = asyncio.ensure_future(svc.batcher.drain())
+                await asyncio.sleep(0.02)
+                assert not closing.done()  # the collector waits on the lane
+                kernel.release.set()
+                await closing
+                assert all(t.done() for t in tail)
+                return await head, await asyncio.gather(*tail)
+
+        head, tail = asyncio.run(run())
+        assert kernel.rows == [8, 8 + 8 + 5]
+        assert len(head) == 8
+        assert [len(b) for b in tail[:2]] == [8, 8]
+        assert [(r.source, r.dest) for r in tail[2:]] == singles
+
+    def test_abort_fails_the_queue_and_lets_the_lane_finish(self, kernel):
+        first, *queued = _blocks(3, 8, seed=18)
+
+        async def run():
+            svc = RoutingService(ServiceConfig(dimension=N), faults=FAULTS)
+            async with svc:
+                head = asyncio.ensure_future(svc.route_block(*first))
+                await _until(kernel.entered)
+                tail = await _submit_spaced(svc, queued)
+                tail.append(asyncio.ensure_future(svc.route(1, 2)))
+                await asyncio.sleep(0.02)
+                svc.batcher.abort(RuntimeError("shard killed"))
+                results = await asyncio.gather(*tail,
+                                               return_exceptions=True)
+                assert not head.done()  # the held flush still owns it
+                kernel.release.set()
+                return await head, results
+
+        head, results = asyncio.run(run())
+        assert kernel.rows == [8]
+        assert len(head) == 8
+        assert len(results) == 3
+        assert all(isinstance(r, RuntimeError) and "shard killed" in str(r)
+                   for r in results)
 
 
 class TestTelemetry:
