@@ -12,7 +12,7 @@ see the harness docstring for the invariants.
 Writes ``BENCH_service.json`` at the repository root so the trajectory
 is tracked across PRs.  Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_service.py [--quick] [--workers N]
+    PYTHONPATH=src python benchmarks/bench_service.py [--quick] [--output PATH]
 
 Quick mode shrinks the request counts for CI smoke runs and skips the
 5x aggregation-speedup floor (the bit-identity, zero-drop, and
@@ -38,13 +38,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller request counts for CI smoke runs "
                              "(skips the speedup floor assert)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="routing worker processes (0 = inline backend)")
     parser.add_argument("--output", type=Path, default=OUTPUT,
                         help=f"report path (default {OUTPUT})")
     args = parser.parse_args(argv)
 
-    report = run_service_bench(quick=args.quick, workers=args.workers)
+    report = run_service_bench(quick=args.quick)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.output}")

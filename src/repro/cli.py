@@ -150,9 +150,6 @@ def _cmd_serve(argv: List[str]) -> int:
                         help="rng seed for --faults (default 0)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7429)
-    parser.add_argument("--workers", type=int, default=0,
-                        help="routing worker processes attaching the "
-                             "shared-memory tables (0 = inline backend)")
     parser.add_argument("--max-batch", type=int,
                         default=ServiceConfig.max_batch,
                         help="row cap of one kernel call; a tenant runs "
@@ -230,8 +227,7 @@ def _cmd_serve(argv: List[str]) -> int:
     async def run() -> None:
         from .service import FailureDetector, HealthConfig
 
-        backend = "pool" if args.workers else "inline"
-        async with ShardRouter(shards=args.shards or 1, workers=args.workers,
+        async with ShardRouter(shards=args.shards or 1,
                                max_batch=args.max_batch,
                                window_us=args.window_us,
                                auto_failover=args.auto_failover,
@@ -250,7 +246,7 @@ def _cmd_serve(argv: List[str]) -> int:
                 banner = (
                     f"repro serve: {len(tenants)} tenants over "
                     f"{args.shards} shards on {args.host}:{args.port} "
-                    f"(backend={backend}"
+                    "(backend=inline"
                     + (f", failover on, probes every "
                        f"{args.probe_interval_ms:g} ms"
                        if args.auto_failover else "") + ")")
@@ -259,7 +255,7 @@ def _cmd_serve(argv: List[str]) -> int:
                 banner = (
                     f"repro serve: Q{args.dim} with "
                     f"{len(tenants[0][2].nodes)} faults on "
-                    f"{args.host}:{args.port} (backend={backend}, epoch "
+                    f"{args.host}:{args.port} (backend=inline, epoch "
                     f"{router.service_of(bound).epochs.current.epoch})")
             detector = FailureDetector(router, HealthConfig(
                 interval_s=args.probe_interval_ms / 1e3,
@@ -312,14 +308,12 @@ def _cmd_bench_service(argv: List[str]) -> int:
                         help="smaller request counts; skips the "
                              f"{MIN_BATCHED_SPEEDUP:.0f}x speedup floor "
                              "(correctness asserts always run)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="routing worker processes (0 = inline backend)")
     parser.add_argument("--output", type=Path,
                         default=Path("BENCH_service.json"),
                         help="report path (default ./BENCH_service.json)")
     args = parser.parse_args(argv)
 
-    report = run_service_bench(quick=args.quick, workers=args.workers)
+    report = run_service_bench(quick=args.quick)
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.output}")

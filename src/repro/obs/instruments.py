@@ -344,7 +344,6 @@ def record_service_batch(
     epoch: int,
     routes: int,
     rejected: int,
-    backend: str,
     queue_us: int,
     exec_us: int,
     entries: Optional[int] = None,
@@ -377,7 +376,7 @@ def record_service_batch(
             epoch=epoch,
             routes=routes,
             rejected=rejected,
-            backend=backend,
+            backend="inline",  # required by the v1 schema; one executor
             queue_us=queue_us,
             exec_us=exec_us,
         )

@@ -12,8 +12,8 @@ service, and this package is that service:
 * :mod:`repro.service.batcher` — :class:`MicroBatcher`: size/deadline
   aggregation of concurrent requests (and whole blocks) into single
   kernel calls;
-* :mod:`repro.service.workers` — the flat per-batch routing task both
-  backends (inline executor and process pool) execute;
+* :mod:`repro.service.workers` — the flat per-batch routing task each
+  kernel call runs on the service's thread executor;
 * :mod:`repro.service.service` — :class:`RoutingService`, the façade;
 * :mod:`repro.service.shard` — :class:`ShardRouter`: many tenant cubes
   multiplexed over a shard pool with consistent-hash placement,

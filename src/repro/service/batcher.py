@@ -26,8 +26,8 @@ overhead.  The accounting is row-based: a block counts as its row
 count, and entries are never split across flushes — a block's response
 always comes from exactly one kernel call against exactly one epoch.
 
-Backpressure is a bounded row gate: at most ``max_pending`` rows may be
-in flight (queued or executing); ``submit``/``submit_block`` await
+Backpressure is a bounded row gate: at most :data:`MAX_PENDING_ROWS`
+rows may be in flight (queued or executing); ``submit``/``submit_block`` await
 admission, so an overloaded service makes producers wait rather than
 growing an unbounded queue.  A block larger than the whole gate is
 admitted at full-gate cost instead of deadlocking.  Requests are never
@@ -47,7 +47,11 @@ from typing import Awaitable, Callable, Deque, List, Optional
 
 import numpy as np
 
-__all__ = ["PendingRequest", "PendingBlock", "MicroBatcher"]
+__all__ = ["PendingRequest", "PendingBlock", "MicroBatcher",
+           "MAX_PENDING_ROWS"]
+
+#: Rows admitted (queued or executing) per batcher before submitters wait.
+MAX_PENDING_ROWS = 32_768
 
 
 @dataclass
@@ -140,7 +144,6 @@ class MicroBatcher:
         *,
         max_batch: int,
         window_us: int,
-        max_pending: int,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -151,7 +154,7 @@ class MicroBatcher:
         self._queue: List[object] = []
         self._queued_rows = 0
         self._queued_blocks = 0
-        self._gate = _RowGate(max_pending)
+        self._gate = _RowGate(MAX_PENDING_ROWS)
         #: Set when the lane frees, the window should close early, or
         #: the batcher closes; the collector waits on it.
         self._wakeup = asyncio.Event()

@@ -305,7 +305,6 @@ async def _sharded_run(
     faults: FaultSet,
     pairs: Sequence[Tuple[int, int]],
     rounds: int,
-    workers: int,
     batched_cfg: ServiceConfig,
 ) -> Dict:
     """The sharded block phase: timed throughput, then full verification."""
@@ -320,8 +319,7 @@ async def _sharded_run(
             blocks.append((tenant, srcs[lo:lo + _BLOCK_PAIRS],
                            dsts[lo:lo + _BLOCK_PAIRS]))
 
-    async with ShardRouter(shards=shards, workers=workers,
-                           max_batch=batched_cfg.max_batch,
+    async with ShardRouter(shards=shards, max_batch=batched_cfg.max_batch,
                            window_us=batched_cfg.window_us) as router:
         for name in tenants:
             await router.add_tenant(name, DIMENSION, faults=faults)
@@ -479,7 +477,7 @@ async def _soak_request(
         return rid, retries > 0, time.perf_counter() - t0, retries
 
 
-async def _soak(quick: bool, workers: int) -> Dict:
+async def _soak(quick: bool) -> Dict:
     """Kill-one-shard-every-k under open-loop load; exactly-once gated.
 
     The kill schedule is a seeded :class:`~repro.chaos.plan.ChaosPlan`
@@ -497,8 +495,7 @@ async def _soak(quick: bool, workers: int) -> Dict:
     tenants = _pick_shard_tenants(_SOAK_SHARDS)
     pairs = _draw_workload(topo, faults, total, rng)
 
-    async with ShardRouter(shards=_SOAK_SHARDS, workers=workers,
-                           auto_failover=True,
+    async with ShardRouter(shards=_SOAK_SHARDS, auto_failover=True,
                            max_tenant_inflight=4_096) as router:
         for name in tenants:
             await router.add_tenant(name, _SOAK_DIM, faults=faults)
@@ -654,7 +651,7 @@ async def _soak_inject(
     raise RuntimeError(f"fault injection for {tenant!r} never landed")
 
 
-def run_failover_soak(quick: bool = False, workers: int = 0) -> Dict:
+def run_failover_soak(quick: bool = False) -> Dict:
     """Run the chaos-driven failover soak; returns its report section.
 
     Correctness gates (exactly-one response per accepted request, zero
@@ -662,10 +659,10 @@ def run_failover_soak(quick: bool = False, workers: int = 0) -> Dict:
     kernel, both detection paths exercised) are asserted inside the run
     itself — a violation raises, it is never just a number in a report.
     """
-    return asyncio.run(_soak(quick, workers))
+    return asyncio.run(_soak(quick))
 
 
-async def _run(quick: bool, workers: int) -> Dict:
+async def _run(quick: bool) -> Dict:
     (total, naive_total, clients, lat_total,
      churn_total, churn_swaps, shard_rounds) = \
         _SCALE_QUICK if quick else _SCALE_FULL
@@ -675,9 +672,8 @@ async def _run(quick: bool, workers: int) -> Dict:
         topo.num_nodes, size=FAULTS, replace=False).tolist())
     pairs = _draw_workload(topo, faults, total, rng)
 
-    batched_cfg = ServiceConfig(dimension=DIMENSION, workers=workers)
-    naive_cfg = ServiceConfig(dimension=DIMENSION, max_batch=1,
-                              window_us=0, workers=workers)
+    batched_cfg = ServiceConfig(dimension=DIMENSION)
+    naive_cfg = ServiceConfig(dimension=DIMENSION, max_batch=1, window_us=0)
 
     # Naive strawman: identical machinery, one kernel call per request.
     async with RoutingService(naive_cfg, faults=faults) as svc:
@@ -694,7 +690,7 @@ async def _run(quick: bool, workers: int) -> Dict:
 
     # Sharded block phase: two tenants, two shards, frame-shaped blocks.
     sharded = await _sharded_run(topo, faults, pairs, shard_rounds,
-                                 workers, batched_cfg)
+                                 batched_cfg)
     sharded["speedup_vs_batched"] = round(
         sharded["routes_per_second"] / batched_rps, 2)
 
@@ -730,7 +726,7 @@ async def _run(quick: bool, workers: int) -> Dict:
     # Self-healing: the chaos-driven failover soak (exactly-once,
     # both detection paths, journal-exact recovery) with its own gates
     # asserted inside the run.
-    failover = await _soak(quick, workers)
+    failover = await _soak(quick)
 
     speedup = round(batched_rps / naive_rps, 2)
     return {
@@ -738,7 +734,6 @@ async def _run(quick: bool, workers: int) -> Dict:
         "quick": quick,
         "dimension": DIMENSION,
         "faults": FAULTS,
-        "workers": workers,
         "clients": clients,
         "max_batch": batched_cfg.max_batch,
         "window_us": batched_cfg.window_us,
@@ -768,23 +763,17 @@ async def _run(quick: bool, workers: int) -> Dict:
     }
 
 
-def run_service_bench(
-    quick: bool = False,
-    workers: int = 0,
-    enforce_floors: Optional[bool] = None,
-) -> Dict:
+def run_service_bench(quick: bool = False) -> Dict:
     """Run the full harness; returns the ``BENCH_service.json`` payload.
 
-    ``enforce_floors`` defaults to ``not quick``: full runs assert the
-    :data:`MIN_BATCHED_SPEEDUP` / :data:`MIN_SHARDED_SPEEDUP` ratios and
-    the :data:`MAX_CHURN_P99_RATIO` tail ceiling, quick (CI smoke) runs
-    only the correctness invariants — which are always asserted
-    regardless.
+    Full runs assert the :data:`MIN_BATCHED_SPEEDUP` /
+    :data:`MIN_SHARDED_SPEEDUP` ratios, the :data:`MAX_CHURN_P99_RATIO`
+    tail ceiling and the :data:`MAX_RECOVERY_P99_MS` recovery ceiling;
+    quick (CI smoke) runs only the correctness invariants — which are
+    always asserted regardless.
     """
-    report = asyncio.run(_run(quick, workers))
-    if enforce_floors is None:
-        enforce_floors = not quick
-    if enforce_floors:
+    report = asyncio.run(_run(quick))
+    if not quick:
         assert report["speedup_batched"] >= MIN_BATCHED_SPEEDUP, (
             f"micro-batching only {report['speedup_batched']:.2f}x over "
             f"one-call-per-request; the acceptance floor is "

@@ -75,9 +75,10 @@ class EpochView:
     """An immutable handle to one published epoch.
 
     ``levels``/``packed`` are the publisher's own arrays (not the shm
-    views) — in-process backends route straight off them, worker
-    processes attach ``segment`` instead and get byte-identical content
-    (the publish path wrote one from the other).
+    views); the service reads ``levels`` to refuse faulty endpoints
+    before the kernel.  The kernel call itself attaches ``segment`` by
+    name and routes off its byte-identical content (the publish path
+    wrote one from the other).
     """
 
     epoch: int

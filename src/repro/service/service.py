@@ -10,16 +10,15 @@
   ``route()`` calls — and whole :meth:`route_block` vectors — into
   single batched-kernel executions, one in flight at a time, with what
   queues behind it coalesced into the next;
-* an execution backend — the asyncio loop's thread executor
-  (``workers=0``; the kernel releases the GIL inside numpy, so one
-  thread suffices until epoch tables stop fitting in cache) or a
-  ``ProcessPoolExecutor`` whose workers attach the epoch segments by
-  name (:mod:`repro.service.workers`).
+* a thread executor running each kernel call
+  (:func:`~repro.service.workers.route_task`, which attaches the epoch
+  segment by name); the kernel releases the GIL inside numpy, so the
+  event loop keeps taking requests while it runs.
 
-A service may run standalone (it builds its own executors) or as one
+A service may run standalone (it builds its own executor) or as one
 shard behind a :class:`~repro.service.shard.ShardRouter`, in which case
-the router passes *shared* executors in — N shards, one process pool —
-and the shard never shuts down what it does not own.
+the router passes its *shared* executor in and the shard never shuts
+down what it does not own.
 
 The per-request guarantees, each enforced by the test suite:
 
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -52,7 +51,7 @@ from ..obs.instruments import metrics, record_block_submission, \
     record_service_batch
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
 from .batcher import MicroBatcher, PendingBlock, PendingRequest
-from .epoch import DEFAULT_SPARES, EpochManager, EpochSwap
+from .epoch import EpochManager, EpochSwap
 from .shm import TornTableError
 from .workers import clear_table_cache, route_task
 
@@ -108,12 +107,7 @@ class ServiceConfig:
     max_batch: int = 4096
     #: How long a single's window gathers other singles (blocks skip it).
     window_us: int = 500
-    workers: int = 0
     tie_break: str = "lowest-dim"
-    #: Rows admitted (queued or executing) before submitters wait.
-    max_pending: int = 32_768
-    #: Warm-spare ring size for the epoch manager.
-    spares: int = DEFAULT_SPARES
 
 
 @dataclass(frozen=True)
@@ -198,9 +192,8 @@ class RoutingService:
     kernel throughput.  ``route_block`` submits a whole vector as one
     batcher entry — the wire path's unit of work.
 
-    ``threads``/``pool`` inject shared executors (the shard router's
-    one-pool-for-N-shards layout); the service only shuts down executors
-    it created itself.
+    ``threads`` injects a shared executor (the shard router's); the
+    service only shuts down an executor it created itself.
     """
 
     def __init__(
@@ -209,21 +202,12 @@ class RoutingService:
         faults: Optional[FaultSet] = None,
         name_token: Optional[str] = None,
         threads: Optional[ThreadPoolExecutor] = None,
-        pool: Optional[ProcessPoolExecutor] = None,
     ) -> None:
         self.config = config
         self.topo = Hypercube(config.dimension)
-        self.epochs = EpochManager(self.topo, faults,
-                                   name_token=name_token,
-                                   spares=config.spares)
-        self.batcher = MicroBatcher(
-            self._flush, max_batch=config.max_batch,
-            window_us=config.window_us, max_pending=config.max_pending,
-        )
-        self._backend = "pool" if (config.workers > 0 or pool is not None) \
-            else "inline"
-        self._pool = pool
-        self._owns_pool = pool is None
+        self.epochs = EpochManager(self.topo, faults, name_token=name_token)
+        self.batcher = MicroBatcher(self._flush, max_batch=config.max_batch,
+                                    window_us=config.window_us)
         # Two threads so epoch publication (inject_faults' stabilization
         # + seal) never heads-of-line-blocks a kernel flush — the churn
         # p99 ceiling in the bench depends on this.
@@ -238,27 +222,20 @@ class RoutingService:
     # -- lifecycle -----------------------------------------------------------
 
     async def __aenter__(self) -> "RoutingService":
-        if self.config.workers > 0 and self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers)
-            self._owns_pool = True
         return self
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
     async def close(self) -> None:
-        """Drain in-flight batches, stop workers, unlink every segment."""
+        """Drain in-flight batches, stop the executor, unlink every segment."""
         if self._closed:
             return
         self._closed = True
         await self.batcher.drain()
-        if self._pool is not None and self._owns_pool:
-            self._pool.shutdown(wait=True)
-        self._pool = None
         if self._owns_threads:
             self._threads.shutdown(wait=True)
-        # The inline backend attaches segments in this process; drop those
+        # Kernel calls attach segments in this process; drop those
         # mappings before the manager unlinks so nothing lingers.
         clear_table_cache()
         self.epochs.close()
@@ -270,9 +247,6 @@ class RoutingService:
         releases what the OS will not: the published segments.
         """
         self._closed = True
-        if self._pool is not None and self._owns_pool:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = None
         clear_table_cache()
         self.epochs.close()
 
@@ -365,14 +339,12 @@ class RoutingService:
             hamming = _popcount64(srcs ^ dsts)
             if keep.size:
                 loop = asyncio.get_running_loop()
-                executor = self._pool if self._pool is not None \
-                    else self._threads
                 try:
                     epoch, k_status, k_condition, k_hops, k_hamming = \
                         await loop.run_in_executor(
-                            executor, route_task, view.segment, view.epoch,
-                            self.topo.dimension, srcs[keep], dsts[keep],
-                            self.config.tie_break)
+                            self._threads, route_task, view.segment,
+                            view.epoch, self.topo.dimension, srcs[keep],
+                            dsts[keep], self.config.tie_break)
                 except TornTableError:
                     # Cannot happen with sealed immutable segments — the
                     # counter existing (and staying 0) is the audit trail
@@ -414,7 +386,6 @@ class RoutingService:
         exec_us = (time.perf_counter_ns() - start_ns) // 1000
         record_service_batch(
             n=self.topo.dimension, epoch=view.epoch, routes=int(keep.size),
-            rejected=rejected, backend=self._backend,
-            queue_us=int(queue_us), exec_us=int(exec_us),
+            rejected=rejected, queue_us=int(queue_us), exec_us=int(exec_us),
             entries=len(batch) if len(batch) != total else None,
         )

@@ -1,9 +1,9 @@
-"""Sharded multi-cube serving: many tenants, one front-end, one pool.
+"""Sharded multi-cube serving: many tenants, one front-end, one executor.
 
 One :class:`~repro.service.service.RoutingService` serves one cube under
 one fault history.  Production traffic is many cubes — tenants with
 different dimensions, fault sets, and churn — and giving each its own
-process group wastes the one resource worth pooling (kernel executors).
+executor wastes the one resource worth pooling (kernel threads).
 The :class:`ShardRouter` multiplexes instead:
 
 * **Tenants** are named cubes, keyed by ``(tenant, n, fault set)`` at
@@ -16,10 +16,9 @@ The :class:`ShardRouter` multiplexes instead:
   hash (SHA-1 ring with virtual nodes), so adding tenants spreads them
   stably and the mapping is reproducible across restarts — the same
   tenant name always lands on the same shard for a given shard count.
-* **Executors are shared.**  All shards route through one thread
-  executor and (when ``workers > 0``) one ``ProcessPoolExecutor`` —
-  worker processes attach whatever epoch segment each task names, so a
-  single pool serves every tenant without per-shard idle workers.
+* **The executor is shared.**  All shards route through one thread
+  executor — each kernel call attaches whatever epoch segment it names,
+  so tasks from different tenants interleave freely.
 
 Failure semantics come in two flavors, mirroring the paper's fault
 model one layer up:
@@ -62,9 +61,10 @@ import asyncio
 import bisect
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, \
+    Tuple
 
 import numpy as np
 
@@ -127,17 +127,18 @@ class UnknownTenantError(KeyError):
 class HashRing:
     """Consistent-hash placement of string keys onto shard ids.
 
-    ``vnodes`` virtual points per shard smooth the distribution; SHA-1
+    :attr:`VNODES` virtual points per shard smooth the distribution; SHA-1
     keeps placement stable across processes and Python hash
     randomization (``hash()`` is salted per process — useless here).
     Removing a shard drops only its own points, so keys that placed on
     survivors stay put — the property failover relies on.
     """
 
-    def __init__(self, shard_ids: Sequence[int], vnodes: int = 64) -> None:
+    VNODES = 64
+
+    def __init__(self, shard_ids: Sequence[int]) -> None:
         if not shard_ids:
             raise ValueError("a hash ring needs at least one shard")
-        self.vnodes = vnodes
         self._ids = set(int(sid) for sid in shard_ids)
         self._hashes: List[int] = []
         self._shards: List[int] = []
@@ -146,7 +147,7 @@ class HashRing:
     def _rebuild(self) -> None:
         points: List[Tuple[int, int]] = []
         for sid in sorted(self._ids):
-            for v in range(self.vnodes):
+            for v in range(self.VNODES):
                 digest = hashlib.sha1(f"shard{sid}#{v}".encode()).digest()
                 points.append((int.from_bytes(digest[:8], "big"), sid))
         points.sort()
@@ -255,7 +256,7 @@ class ShardRouter:
 
     Use as an async context manager::
 
-        async with ShardRouter(shards=2, workers=0) as router:
+        async with ShardRouter(shards=2) as router:
             await router.add_tenant("blue", dimension=8, faults=faults)
             resp = await router.route("blue", src, dst)
             block = await router.route_block("blue", srcs, dsts)
@@ -274,52 +275,48 @@ class ShardRouter:
         workers: int = 0,
         max_batch: int = ServiceConfig.max_batch,
         window_us: int = ServiceConfig.window_us,
-        max_pending: int = ServiceConfig.max_pending,
-        spares: int = ServiceConfig.spares,
-        vnodes: int = 64,
         auto_failover: bool = False,
         max_tenant_inflight: Optional[int] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
+        # Kept only because perfbench/launcher.py passes workers=0.
+        if workers != 0:
+            raise ValueError(
+                f"workers={workers}: the process-pool backend was removed; "
+                f"kernel calls run on the router's thread executor")
         if max_tenant_inflight is not None and max_tenant_inflight < 1:
             raise ValueError("max_tenant_inflight must be >= 1 (or None)")
-        self.workers = workers
         self.auto_failover = auto_failover
         self.max_tenant_inflight = max_tenant_inflight
-        self._defaults = dict(max_batch=max_batch, window_us=window_us,
-                              max_pending=max_pending, spares=spares)
+        self._defaults = dict(max_batch=max_batch, window_us=window_us)
         self.shards: Dict[int, Shard] = {
             sid: Shard(shard_id=sid) for sid in range(shards)}
-        self._ring = HashRing(sorted(self.shards), vnodes=vnodes)
+        self._ring = HashRing(sorted(self.shards))
         self._placement: Dict[str, int] = {}
         self._journals: Dict[str, TenantJournal] = {}
         self._inflight: Dict[str, int] = {}
-        self._downed: Dict[int, List[str]] = {}
-        self._failover_done: Dict[int, FailoverReport] = {}
+        #: ("down" | "failover", shard id) -> the outcome every caller of
+        #: that shard's one death confirmation / failover awaits.
+        self._flights: Dict[Tuple[str, int], asyncio.Future] = {}
         self.failovers: List[FailoverReport] = []
         self.shed = 0
-        # Shared executors: one thread per shard keeps one tenant's
-        # re-stabilization from stalling another shard's kernel calls;
-        # one process pool serves every tenant (workers attach segments
-        # by name, so tasks from different tenants interleave freely).
+        # The shared executor: one thread per shard keeps one tenant's
+        # re-stabilization from stalling another shard's kernel calls.
         self._threads = ThreadPoolExecutor(
             max_workers=shards + 1, thread_name_prefix="repro-shard")
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
     async def __aenter__(self) -> "ShardRouter":
-        if self.workers > 0 and self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
     async def close(self) -> None:
-        """Drain every live tenant, stop shared executors, unlink segments."""
+        """Drain every live tenant, stop the executor, unlink segments."""
         if self._closed:
             return
         self._closed = True
@@ -329,9 +326,6 @@ class ShardRouter:
                     await svc.close()
                 else:
                     svc.terminate()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._threads.shutdown(wait=True)
 
     # -- tenants -------------------------------------------------------------
@@ -368,9 +362,9 @@ class ShardRouter:
             raise ShardDownError(
                 f"tenant {name!r} places on shard {sid}, which is down")
         config = ServiceConfig(dimension=dimension, tie_break=tie_break,
-                               workers=self.workers, **self._defaults)
+                               **self._defaults)
         svc = RoutingService(config, faults=faults, name_token=name_token,
-                             threads=self._threads, pool=self._pool)
+                             threads=self._threads)
         await svc.__aenter__()
         shard.tenants[name] = svc
         self._placement[name] = sid
@@ -548,7 +542,8 @@ class ShardRouter:
 
     async def _halt_tenants(self, shard: Shard, retryable: bool) -> None:
         """Abort queued work and tear down every service on a shard."""
-        for name, svc in shard.tenants.items():
+        # A snapshot: a failover may re-place tenants between the awaits.
+        for name, svc in list(shard.tenants.items()):
             if retryable:
                 exc: Exception = ShardRetryError(
                     f"shard {shard.shard_id} (tenant {name!r}) is down; "
@@ -577,19 +572,44 @@ class ShardRouter:
         await self._halt_tenants(shard, retryable=True)
         return downed
 
+    async def _once(self, key: Tuple[str, int],
+                    body: Callable[[], Awaitable]):
+        """Single-flight per ``key``.  The first caller files a future
+        before any await, then runs ``body()`` itself, so it starts at
+        once as a plain call would; every concurrent or later caller
+        awaits that future and gets the same result."""
+        flight = self._flights.get(key)
+        if flight is not None:
+            # Shielded: a cancelled waiter must not cancel the others'.
+            return await asyncio.shield(flight)
+        flight = self._flights[key] = \
+            asyncio.get_running_loop().create_future()
+        try:
+            result = await body()
+        except BaseException as exc:
+            # Waiters hear why; a later call starts afresh.
+            del self._flights[key]
+            flight.set_exception(exc)
+            flight.exception()  # retrieved: waiters re-raise, none logs it
+            raise
+        flight.set_result(result)
+        return result
+
     async def _confirm_down(self, shard_id: int, retryable: bool) -> List[str]:
-        """Idempotently establish a shard as dead: mark it, pull its
-        vnodes from the ring (the satellite fix: a corpse must never
-        receive a new tenant), abort queued work, count the death."""
+        """Establish a shard as dead, once: mark it, pull its vnodes from
+        the ring (a corpse must never receive a new tenant), abort
+        queued work, count the death.  Concurrent callers share the
+        first one's confirmation and get its tenant list."""
+        return await self._once(("down", shard_id),
+                                lambda: self._mark_down(shard_id, retryable))
+
+    async def _mark_down(self, shard_id: int, retryable: bool) -> List[str]:
         shard = self.shards[shard_id]
-        if shard_id in self._downed:
-            return self._downed[shard_id]
         already_halted = not shard.responsive  # crash tore services down
         shard.alive = False
         shard.responsive = False
         self._ring.remove(shard_id)
         downed = sorted(shard.tenants)
-        self._downed[shard_id] = downed
         if not already_halted:
             await self._halt_tenants(shard, retryable=retryable)
         record_shard_down(shard_id, tenants=len(downed))
@@ -625,12 +645,15 @@ class ShardRouter:
         ``inject_faults`` delta through the fresh epoch manager — the
         recovered epoch number and fault state match the lost shard's
         bit-for-bit, and the warm-spare ring republishes the tables as
-        the replay runs.  Idempotent: a second confirmation of the same
-        death returns the original report.  With no survivors the report
-        records the stranding (``moved`` empty) and tenants stay down.
+        the replay runs.  Runs once per shard: a concurrent or later
+        call returns the first call's report.  With no survivors the
+        report records the stranding (``moved`` empty) and tenants stay
+        down.
         """
-        if shard_id in self._failover_done:
-            return self._failover_done[shard_id]
+        return await self._once(("failover", shard_id),
+                                lambda: self._fail_over(shard_id, detected))
+
+    async def _fail_over(self, shard_id: int, detected: str) -> FailoverReport:
         start = time.perf_counter()
         shard = self.shards[shard_id]
         await self._confirm_down(shard_id, retryable=True)
@@ -648,10 +671,10 @@ class ShardRouter:
                          if journal.name_token else None)
                 config = ServiceConfig(
                     dimension=journal.dimension, tie_break=journal.tie_break,
-                    workers=self.workers, **self._defaults)
+                    **self._defaults)
                 svc = RoutingService(
                     config, faults=journal.initial, name_token=token,
-                    threads=self._threads, pool=self._pool)
+                    threads=self._threads)
                 await svc.__aenter__()
                 if journal.deltas:
                     deltas = tuple(journal.deltas)
@@ -671,7 +694,6 @@ class ShardRouter:
             shard_id=shard_id, detected=detected, tenants=names,
             moved=moved, epochs_replayed=epochs_replayed,
             failover_ms=failover_ms)
-        self._failover_done[shard_id] = report
         self.failovers.append(report)
         record_shard_failover(
             shard_id, tenants=len(names), moved=len(moved),

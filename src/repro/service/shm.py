@@ -2,7 +2,7 @@
 
 The routing service's whole bargain is that safety-level state is
 *epochal*: it only changes when the fault set changes, so the level table
-can be computed once per epoch and then read by every worker process for
+can be computed once per epoch and then read by every kernel call for
 thousands of micro-batches without coordination.  This module is the
 publish/attach substrate for that bargain, built on
 :mod:`multiprocessing.shared_memory`:

@@ -1,26 +1,20 @@
-"""Worker-side routing: attach the epoch's shared table, run the kernel.
+"""Executor-side routing: attach the epoch's shared table, run the kernel.
 
-This module is the *entire* code a routing worker runs — deliberately
-flat, following the block-level-autonomy principle: the coordinator hands
-a worker a fully-specified plan (segment name, expected epoch, request
-vectors) and the worker needs no further coordination to execute it.
-Workers never see the epoch manager, the batcher, or the engine; their
-only shared state is the read-only epoch table, reached through
-:func:`repro.service.shm.attach_epoch_table` and cached per process.
-
-The same entry point (:func:`route_task`) serves both backends: the
-in-process thread executor (``workers=0`` — the table attach path is
-still exercised, so one code path is tested everywhere) and the
-``ProcessPoolExecutor`` fan-out, whose workers import this module fresh
-and therefore run with observability disabled (no IPC on the hot path —
-the coordinator records service telemetry from the demux side).
+This module is the *entire* code a kernel call runs on the service's
+executor thread — deliberately flat, following the block-level-autonomy
+principle: the service hands :func:`route_task` a fully-specified plan
+(segment name, expected epoch, request vectors) and it needs no further
+coordination to execute it.  It never sees the epoch manager, the
+batcher, or the engine; its only shared state is the read-only epoch
+table, reached through :func:`repro.service.shm.attach_epoch_table` by
+segment name and cached per process.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,7 +22,7 @@ from ..core.hypercube import Hypercube
 from ..routing.batch import route_with_table
 from .shm import EpochTable, attach_epoch_table
 
-__all__ = ["route_task", "clear_table_cache", "cached_tables"]
+__all__ = ["route_task", "clear_table_cache"]
 
 #: Attached tables kept per process.  A single service needs two in
 #: steady state (the serving epoch plus the one draining), but the cache
@@ -81,8 +75,7 @@ def route_task(
     """Route one micro-batch against one epoch's shared table.
 
     Returns ``(epoch, status, condition, hops, hamming)`` flat arrays in
-    request order — plain numpy, cheap to pickle back from a pool
-    worker.  The epoch check happens twice: at attach (the seqlock
+    request order.  The epoch check happens twice: at attach (the seqlock
     verification) and here against the coordinator's expectation, so a
     response tagged ``epoch`` is *guaranteed* to have been computed from
     that epoch's sealed table — the no-torn-reads contract.
@@ -115,8 +108,3 @@ def clear_table_cache() -> None:
             _, table = _TABLES.popitem()
             table.close()
 
-
-def cached_tables() -> Dict[str, int]:
-    """segment name -> epoch of the current cache (introspection)."""
-    with _TABLES_LOCK:
-        return {name: t.epoch for name, t in _TABLES.items()}

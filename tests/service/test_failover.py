@@ -223,6 +223,63 @@ class TestFailover:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("kill_first", [True, False],
+                             ids=["kill-first", "failover-first"])
+    def test_racing_kill_and_failover_run_once(self, kill_first):
+        faults = FaultSet(nodes=[3, 12])
+
+        async def run():
+            async with ShardRouter(shards=3, window_us=100,
+                                   auto_failover=True) as router:
+                k = 0
+                while len(set(router.tenants().values())) < 2 \
+                        or len(router.tenants()) < 6:
+                    await router.add_tenant(f"tenant-{k}", dimension=5,
+                                            faults=faults)
+                    k += 1
+                victim = router.shard_of("tenant-0")
+                on_victim = sorted(name for name, sid
+                                   in router.tenants().items()
+                                   if sid == victim)
+                for name in on_victim:
+                    await router.inject_faults(name, add=[17])
+                calls = [router.kill_shard(victim),
+                         router.fail_over_shard(victim)]
+                if not kill_first:
+                    calls.reverse()
+                results = await asyncio.gather(*calls)
+                downed, report = results if kill_first else results[::-1]
+                assert len(router.failovers) == 1
+                assert report is router.failovers[0]
+                # a later confirmation of the same death gets that report
+                assert await router.fail_over_shard(victim) is report
+                assert downed == on_victim == report.tenants
+                assert sorted(report.moved) == on_victim
+                assert report.epochs_replayed == len(on_victim)
+                srcs, dsts = _workload(120, 5, FaultSet(nodes=[3, 12, 17]),
+                                       seed=11)
+                blocks = {}
+                for name in on_victim:
+                    journal = router.journal_of(name)
+                    assert journal.generation == 1   # moved exactly once
+                    assert router.shard_of(name) == report.moved[name]
+                    assert router.shard_of(name) != victim
+                    blocks[name] = (journal.recovered_epoch(),
+                                    journal.recovered_faults(),
+                                    await router.route_block(name, srcs,
+                                                             dsts))
+                return srcs, dsts, blocks
+
+        srcs, dsts, blocks = asyncio.run(run())
+        for name, (epoch, recovered, block) in blocks.items():
+            assert epoch == 2 and block.epoch == epoch
+            ref = _offline(5, recovered, srcs, dsts)
+            assert np.array_equal(block.status.astype(np.int64),
+                                  ref.status.reshape(-1)), name
+            assert np.array_equal(block.condition.astype(np.int64),
+                                  ref.condition.reshape(-1)), name
+            assert np.array_equal(block.hops, ref.hops.reshape(-1)), name
+
     def test_no_survivors_strands_tenants_loudly(self):
         async def run():
             async with ShardRouter(shards=1, window_us=100,

@@ -1,7 +1,7 @@
 """End-to-end routing service tests: identity, epochs, batching, cleanup.
 
 The load-bearing claim is **bit-identity**: a response from the service —
-through the batcher, the shared-memory table, and either backend — equals
+through the batcher, the shared-memory table, and the executor — equals
 the offline ``route_unicast_batch`` outcome for (epoch fault set, src,
 dst), for every epoch a churn run touches.  Around it: batching window
 and lane semantics (one kernel call in flight per batcher, queued work
@@ -10,7 +10,6 @@ aggregation of the service telemetry, and segment hygiene at shutdown.
 """
 
 import asyncio
-import os
 import threading
 import time
 
@@ -70,20 +69,6 @@ class TestBitIdentity:
                 _CONDITION_BY_CODE[int(ref.condition[0, k])].value
             assert resp.hops == int(ref.hops[0, k])
             assert resp.hamming == int(ref.hamming[0, k])
-
-    def test_worker_pool_backend_matches_offline(self):
-        pairs = _workload(120, seed=3)
-
-        async def run():
-            config = ServiceConfig(dimension=N, window_us=200, workers=1)
-            async with RoutingService(config, faults=FAULTS) as svc:
-                return await svc.route_many(pairs)
-
-        responses = asyncio.run(run())
-        _levels, ref = _offline(Hypercube(N), FAULTS, pairs)
-        for k, resp in enumerate(responses):
-            assert resp.status == _STATUS_BY_CODE[int(ref.status[0, k])].value
-            assert resp.hops == int(ref.hops[0, k])
 
 
 class TestEpochChurn:
@@ -450,19 +435,3 @@ class TestShutdownHygiene:
         asyncio.run(run())
         assert names
         assert not any(segment_exists(v) for v in names)
-
-    def test_no_stray_service_segments_after_pool_run(self):
-        token = f"pooltest{os.getpid()}"
-
-        async def run():
-            config = ServiceConfig(dimension=N, window_us=100, workers=1)
-            async with RoutingService(config, faults=FAULTS,
-                                      name_token=token) as svc:
-                await svc.route_many(_workload(40, seed=6))
-                await svc.inject_faults(add=[18])
-                await svc.route_many(_workload(40, seed=8))
-
-        asyncio.run(run())
-        stray = [p for p in os.listdir("/dev/shm")
-                 if p.startswith(f"repro_svc_{token}")]
-        assert stray == []
