@@ -8,9 +8,10 @@ Two claims from the maintenance engine are measured and asserted:
   (the dirty wave touches a neighborhood; the cold sweep touches the
   whole cube), and every post-delta assignment must be bit-identical to
   the cold fixed point (Theorem 1: it is unique).
-* **The packed-bitset level kernel wins on big cubes.**  The trial-packed
-  uint64 kernel (what :func:`compute_safety_levels_batch` runs for
-  ``n >= 10``) must beat the per-trial reference — one
+* **The batch level kernel wins on big cubes.**  At the benchmark's batch
+  sizes (multiples of 64) :func:`compute_safety_levels_batch` runs the
+  trial-packed uint64 kernel on every row for ``n >= 10``; it must beat
+  the per-trial reference — one
   :func:`repro.safety.gs.compute_levels_with_rounds` call per fault set —
   on Q12 and up while staying bit-identical (levels and rounds).
 
@@ -117,7 +118,8 @@ def _per_trial_reference(topo: Hypercube, fault_sets) -> tuple:
 
 
 def bench_level_kernels(n: int, batch: int, repeats: int) -> Dict:
-    """Batch level computation on Q``n``: packed kernel vs per-trial loop."""
+    """Batch level computation on Q``n``: the batch entry point (packed
+    kernel on whole 64-trial words) vs the per-trial loop."""
     topo = Hypercube(n)
     rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(99, n)))
     masks = rng.random((batch, topo.num_nodes)) < 0.05
@@ -194,9 +196,9 @@ def main(argv: Sequence[str] | None = None) -> int:
               f"single-fault deltas "
               f"(mean dirty set {row['mean_dirty_nodes']} nodes)")
     for row in report["level_kernels"]:
-        print(f"Q{row['n']}: packed level kernel "
-              f"{row['speedup_packed']:.1f}x vs per-trial reference "
-              f"(batch={row['batch']})")
+        print(f"Q{row['n']}: batch level kernel (packed, "
+              f"{row['batch'] // 64} full words) "
+              f"{row['speedup_packed']:.1f}x vs per-trial reference")
     if not args.quick:
         for row in report["incremental"]:
             if row["n"] >= 12:

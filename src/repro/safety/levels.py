@@ -35,9 +35,10 @@ from ..core.hypercube import Hypercube, neighbor_table
 from ..obs.instruments import record_gs_batch
 from .packed import batch_block_packed
 
-#: Largest cube the SWAR batch kernel handles: its per-threshold counters
-#: live in 7-bit lanes of one uint64.  Larger cubes run the packed tier.
-_SWAR_MAX_DIMENSION = 9
+#: Largest cube the SWAR batch kernel handles: its per-threshold counter
+#: fields must fit 63 bits of one uint64 (see ``swar_tables``), which
+#: they do up to Q14 and not at Q15.
+_SWAR_MAX_DIMENSION = 14
 
 __all__ = [
     "level_from_sorted",
@@ -138,42 +139,52 @@ class LevelsWorkspace:
         return buf[0, :batch], buf[1, :batch]
 
     def swar_tables(self, n: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
-        """Packed-threshold tables for the SWAR batched kernel (n <= 9).
+        """Packed-threshold tables for the SWAR batched kernel (n <= 14).
 
         Definition 1's update collapses to ``S(a) = min{t : c_t >= t+1}``
         where ``c_t`` counts neighbors with level below ``t`` (or ``n``
         when no threshold fails; ``t = 0`` can never fail).  The SWAR
-        kernel keeps every counter ``c_1 .. c_{n-1}`` in its own 7-bit
-        field of one ``uint64`` per node, so a single add per dimension
-        accumulates all thresholds at once.  Returned tables:
+        kernel keeps every counter ``c_1 .. c_{n-1}`` in its own field of
+        one ``uint64`` per node, so a single add per dimension accumulates
+        all thresholds at once.  Field ``t`` is
+        ``w_t = 1 + ceil(log2(max(t+1, n-t)))`` bits wide, packed upward
+        from bit 0, and starts at ``bias_t = 2**(w_t-1) - (t+1)``: its
+        top bit then sets exactly when ``c_t >= t+1``, and since
+        ``c_t <= n`` the field never exceeds ``n + bias_t < 2**w_t``, so
+        no add carries into the next field.  The widths sum to at most
+        63 bits up to ``n = 14`` (exactly 63 there; Q15 would need 69).
+        Returned tables:
 
         * ``vlut[L]`` — the packed contribution of one neighbor at level
-          ``L``: bit ``7t`` set for every threshold ``t > L``;
+          ``L``: the low bit of field ``t`` set for every ``t > L``;
         * ``tlut[p]`` — maps ``popcount(O ^ (O - 1))`` of the overflow
-          word ``O`` back to the lowest failing threshold: the lowest set
-          bit ``7t + 6`` gives popcount ``7t + 7``; ``O == 0`` wraps to
-          all-ones (popcount 64), which maps to ``n`` for "no failure";
-        * ``bias`` — adds ``64 - (t+1)`` into field ``t``, so field
-          ``t`` overflows into bit ``7t + 6`` exactly when
-          ``c_t >= t+1`` (fields hold at most ``n + 63 < 128``: no
-          carry between fields);
-        * ``over`` — the mask of all overflow bits.
+          word ``O`` back to the lowest failing threshold: a lowest set
+          bit ``k`` gives popcount ``k + 1``, at most 63; ``O == 0``
+          wraps to all-ones (popcount 64), which maps to ``n`` for "no
+          failure";
+        * ``bias`` — every ``bias_t`` in its field;
+        * ``over`` — the mask of all overflow (field top) bits.
         """
         cached = self._swar.get(n)
         if cached is None:
             if not 1 <= n <= _SWAR_MAX_DIMENSION:
                 raise ValueError(
                     f"SWAR kernel supports 1 <= n <= {_SWAR_MAX_DIMENSION}")
-            vlut = np.zeros(n + 1, dtype=np.uint64)
-            for level in range(n + 1):
-                vlut[level] = sum(1 << (7 * t) for t in range(level + 1, n))
-            vlut.setflags(write=False)
+            contrib = [0] * (n + 1)
             tlut = np.full(65, n, dtype=np.int8)
+            bias = over = shift = 0
             for t in range(1, n):
-                tlut[7 * t + 7] = t
+                width = 1 + (max(t + 1, n - t) - 1).bit_length()
+                top = shift + width - 1
+                bias |= ((1 << (width - 1)) - (t + 1)) << shift
+                over |= 1 << top
+                tlut[top + 1] = t
+                for level in range(t):
+                    contrib[level] |= 1 << shift
+                shift += width
+            vlut = np.array(contrib, dtype=np.uint64)
+            vlut.setflags(write=False)
             tlut.setflags(write=False)
-            bias = sum((63 - t) << (7 * t) for t in range(1, n))
-            over = sum(1 << (7 * t + 6) for t in range(1, n))
             cached = (vlut, tlut, bias, over)
             self._swar[n] = cached
         return cached
@@ -226,10 +237,23 @@ def compute_safety_levels(
     )
 
 
-#: Row-block size for the batched kernel.  The SWAR sweep touches two
-#: ``(block, 2**n)`` uint64 buffers per pass; blocking keeps them inside
-#: the cache instead of streaming a whole 10k-trial batch through memory.
-_BATCH_BLOCK = 512
+#: Byte size of one ``(block, 2**n)`` uint64 scratch array of the SWAR
+#: kernel.  Each sweep streams two of them, so blocking by bytes rather
+#: than rows keeps them cache-resident at every cube size (128 rows at
+#: Q9, 16 at Q12, 4 at Q14) instead of streaming a 10k-trial batch
+#: through memory.  On a 2-vCPU Xeon VM (2 MiB L2 per core) Q9-Q14
+#: timings were flat from 256 KiB to 1 MiB and 10-20% slower at 128 KiB.
+_SWAR_BLOCK_BYTES = 512 << 10
+
+#: Trials per packed-kernel block: eight 64-trial words.
+_PACKED_BLOCK_ROWS = 8 * 64
+
+#: Largest cube that runs SWAR on every row.  Above it, whole 64-trial
+#: words run packed and only the ``B mod 64`` leftover rows, for which
+#: packed would sweep a full word, run SWAR.  On whole words neither
+#: kernel wins throughout: at B=256 on Q9-Q14 (2-vCPU Xeon VM) SWAR took
+#: 0.6-1.1x packed's time at 2% faults and 1.0-1.4x at 10%.
+_SWAR_ONLY_MAX_DIMENSION = 9
 
 
 def _batch_block_swar(
@@ -237,15 +261,17 @@ def _batch_block_swar(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Definition-1 fixed point for one block of fault masks, SWAR kernel.
 
-    Works for ``n <= 9``.  Levels live in an int8 ``(B, 2**n)`` matrix.
+    Works for ``n <= 14``.  Levels live in an int8 ``(B, 2**n)`` matrix.
     One sweep packs every node's threshold counters ``c_1 .. c_{n-1}``
-    (#neighbors with level < t) into 7-bit lanes of a uint64 — the lane
-    sums are just ``n`` adds of the value table along each reversed cube
-    axis, since the dimension-``j`` neighbor of node ``a`` is ``a ^ 2**j``.
-    Adding the bias makes lane ``t`` overflow into its top bit exactly when
+    (#neighbors with level < t) into the fields of one uint64 laid out by
+    :meth:`LevelsWorkspace.swar_tables` — the field sums are just ``n``
+    adds of the value table along each reversed cube axis, since the
+    dimension-``j`` neighbor of node ``a`` is ``a ^ 2**j``.  Adding the
+    bias makes field ``t`` overflow into its top bit exactly when
     ``c_t >= t + 1``; the lowest set overflow bit *is* the new level
     (Definition 1 collapsed to ``S(a) = min{t : c_t >= t+1}``, else ``n``).
-    No gather, no sort, ~n ops per node per sweep.
+    No gather, no sort, ~n ops per node per sweep, and no fixed cost per
+    64 trials: the cost scales with the rows in the block.
     """
     vlut, tlut, bias, over = ws.swar_tables(n)
     batch, num_nodes = masks.shape
@@ -335,10 +361,15 @@ def compute_safety_levels_batch(
     amortizes numpy dispatch that the per-trial kernel pays ``B`` times;
     rows that reach their fixed point drop out of subsequent sweeps, and
     large batches are processed in cache-sized row blocks.  The sweep
-    kernel follows from the cube alone: the SWAR threshold-counting
-    kernel (:func:`_batch_block_swar`) for ``n <= 9``, the packed-bitset
-    tier (:func:`repro.safety.packed.batch_block_packed`) for larger
-    cubes.
+    kernel follows from the input alone.  The packed-bitset tier
+    (:func:`repro.safety.packed.batch_block_packed`) costs the same per
+    64-trial word however few of its 64 lanes are used, while the SWAR
+    threshold-counting kernel (:func:`_batch_block_swar`) costs per row:
+
+    * ``n <= 9`` runs SWAR on every row;
+    * ``10 <= n <= 14`` runs packed on the whole 64-row words of the
+      batch and SWAR on the ``B mod 64`` leftover rows;
+    * ``n >= 15`` runs packed (the SWAR fields no longer fit a uint64).
 
     Returns the ``(B, 2**n)`` int64 level matrix; with ``return_rounds``
     also the ``(B,)`` per-trial stabilization round (the count of
@@ -356,18 +387,26 @@ def compute_safety_levels_batch(
     num_nodes = topo.num_nodes
     batch = masks.shape[0]
     ws = workspace if workspace is not None else _DEFAULT_WORKSPACE
-    swar = n <= _SWAR_MAX_DIMENSION
+    # Rows [0, split) run packed, rows [split, batch) run SWAR.
+    if n <= _SWAR_ONLY_MAX_DIMENSION:
+        split = 0
+    elif n <= _SWAR_MAX_DIMENSION:
+        split = batch - batch % 64
+    else:
+        split = batch
     levels = np.empty((batch, num_nodes), dtype=np.int64)
     rounds = np.empty(batch, dtype=np.int64)
-    for lo in range(0, batch, _BATCH_BLOCK):
-        hi = min(lo + _BATCH_BLOCK, batch)
-        if swar:
-            blk_levels, blk_rounds = _batch_block_swar(n, masks[lo:hi], ws)
-        else:
-            blk_levels, blk_rounds = batch_block_packed(n, masks[lo:hi])
-        levels[lo:hi] = blk_levels
-        rounds[lo:hi] = blk_rounds
-    record_gs_batch(n, batch, "swar" if swar else "packed", rounds)
+    for lo in range(0, split, _PACKED_BLOCK_ROWS):
+        hi = min(lo + _PACKED_BLOCK_ROWS, split)
+        levels[lo:hi], rounds[lo:hi] = batch_block_packed(n, masks[lo:hi])
+    swar_rows = max(1, _SWAR_BLOCK_BYTES // (8 * num_nodes))
+    for lo in range(split, batch, swar_rows):
+        hi = min(lo + swar_rows, batch)
+        levels[lo:hi], rounds[lo:hi] = _batch_block_swar(n, masks[lo:hi], ws)
+    if split:
+        record_gs_batch(n, split, "packed", rounds[:split])
+    if split < batch:
+        record_gs_batch(n, batch - split, "swar", rounds[split:])
     return (levels, rounds) if return_rounds else levels
 
 

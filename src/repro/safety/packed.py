@@ -1,10 +1,11 @@
 """The packed-bitset safety-level kernel: bit-sliced over 64-trial words.
 
-The SWAR kernel in :mod:`repro.safety.levels` runs out of 7-bit uint64
-lanes past ``n = 9``, and a gather+sort formulation streams a
-``(B, 2**n, n)`` int64 tensor through memory every sweep — the cost that
-caps Monte-Carlo work on Q10+.  This module evaluates the same
-Definition-1 fixed point with a different packing: **one bit per trial**.
+The SWAR kernel in :mod:`repro.safety.levels` packs one node's threshold
+counters into one uint64, so it costs per trial and stops at ``n = 14``,
+where its counter fields fill 63 bits; a gather+sort formulation streams
+a ``(B, 2**n, n)`` int64 tensor through memory every sweep.  This module
+evaluates the same Definition-1 fixed point with a different packing:
+**one bit per trial**.
 
 * Every per-node quantity lives in ``(Wb, 2**n)`` uint64 words, where
   word ``w``'s bit ``b`` belongs to trial ``64*w + b`` — 64 trials
@@ -22,9 +23,11 @@ Definition-1 fixed point with a different packing: **one bit per trial**.
 The sweep is pure numpy, word-parallel across trials, and asserted
 bit-identical to the SWAR kernel and to the per-trial reference
 (:func:`repro.safety.gs.compute_levels_with_rounds`): same iterates,
-same stabilization rounds.  Works for any ``1 <= n <= 26``;
-:func:`repro.safety.levels.compute_safety_levels_batch` runs it for
-``n >= 10``.
+same stabilization rounds.  Works for any ``1 <= n <= 26``.  A sweep
+costs the same for a word carrying one trial as for one carrying 64, so
+:func:`repro.safety.levels.compute_safety_levels_batch` hands it only
+whole 64-trial words for ``10 <= n <= 14`` (the ``B mod 64`` leftover
+rows run SWAR) and every row for ``n >= 15``.
 """
 
 from __future__ import annotations
