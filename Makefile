@@ -30,13 +30,15 @@ bench-levels:
 	PYTHONPATH=src $(PY) benchmarks/bench_levels_incremental.py
 
 # Routing-as-a-service: naive vs micro-batched vs sharded-block
-# throughput, steady/churn open-loop latency percentiles, and an
-# offline-cross-checked fault-churn run; writes BENCH_service.json at
-# the root and asserts the >= 5x aggregation floor, the >= 2x sharded
-# floor, the churn-p99 <= 1.5x-steady ceiling, and zero torn reads /
-# zero drops.
+# throughput, steady/churn open-loop latency percentiles, an
+# offline-cross-checked fault-churn run (zero torn reads / zero drops
+# asserted in the run) and the E23 failover soak; writes
+# BENCH_service.json at the root, then checks it with the service gate
+# (the >= 5x aggregation floor, the >= 2x sharded floor, the
+# churn-p99 <= 1.5x-steady ceiling, the recovery p99 ceiling).
 bench-service:
 	PYTHONPATH=src $(PY) benchmarks/bench_service.py
+	$(PY) benchmarks/gates.py service BENCH_service.json
 
 # The CI regression gates, run locally: every benchmark writes a fresh
 # report under $(GATES_OUT), then benchmarks/gates.py checks it against

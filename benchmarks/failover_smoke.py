@@ -31,12 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.failover_soak import tenants_covering_shards
 from repro.core import FaultSet, Hypercube
 from repro.routing.batch import route_unicast_batch
 from repro.safety.levels import compute_safety_levels
 from repro.service import FailureDetector, HealthConfig, ResilientClient, \
     RetryPolicy, ShardHealth, ShardRouter
-from repro.service.bench import _pick_shard_tenants
 from repro.service.server import serve_forever
 
 DIMENSION = 6
@@ -110,7 +110,7 @@ async def _check_bit_identity(port: int, router: ShardRouter,
 
 async def run_smoke(port: int) -> None:
     faults = FaultSet(nodes=FAULT_NODES)
-    tenants = _pick_shard_tenants(3)
+    tenants = tenants_covering_shards(3)
 
     async with ShardRouter(shards=3, window_us=200,
                            auto_failover=True) as router:

@@ -29,12 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.failover_soak import tenants_covering_shards
 from repro.core import FaultSet, Hypercube
 from repro.routing.batch import route_unicast_batch
 from repro.safety.levels import compute_safety_levels
 from repro.service import ShardRouter, WireClient, WireError
 from repro.service import wire
-from repro.service.bench import _pick_shard_tenants
 from repro.service.server import serve_forever
 
 DIMENSION = 6
@@ -130,7 +130,7 @@ async def _check_degradation(port: int, router: ShardRouter,
 
 async def run_smoke(port: int) -> None:
     faults = FaultSet(nodes=FAULT_NODES)
-    tenants = _pick_shard_tenants(2)
+    tenants = tenants_covering_shards(2)
     srcs, dsts = _workload(ROUTES, faults, SEED)
 
     async with ShardRouter(shards=2, window_us=200) as router:

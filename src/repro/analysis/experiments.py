@@ -587,7 +587,7 @@ def _chaos(ctx: RunContext) -> str:
 
 @register("failover", "self-healing shard failover soak (E23)")
 def _failover(ctx: RunContext) -> str:
-    from ..service.bench import run_failover_soak
+    from .failover_soak import run_failover_soak
 
     report = run_failover_soak(quick=ctx.quick)
     table = Table(

@@ -13,7 +13,10 @@ execution strategy out of the experiment code:
   :func:`repro.safety.gs.stabilization_rounds_batch` once;
 * chunks fan out over a ``ProcessPoolExecutor`` when more than one job is
   requested (``jobs`` argument, else the ``REPRO_JOBS`` environment knob,
-  else serial), and results are concatenated in chunk order.
+  else serial), and results are concatenated in chunk order.  The pool
+  is started once per process and kept for later sweeps: each spawned
+  worker re-imports the package, which costs far more than a typical
+  cell's trials.
 
 Because trial ``i``'s random stream depends only on ``(master_seed, i)``
 and results are reassembled in trial order, the output is bit-identical
@@ -26,10 +29,12 @@ must be module-level callables so they pickle into spawn-based workers.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -106,6 +111,15 @@ def chunk_trials(
     ]
 
 
+@functools.lru_cache(maxsize=1)
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's spawn pool, started on first use and kept until a
+    sweep asks for a different worker count (an evicted pool's workers
+    exit once it is garbage-collected)."""
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=mp.get_context("spawn"))
+
+
 def run_sweep(
     chunk_fn: Callable[..., Sequence[Any]],
     master_seed: int,
@@ -118,10 +132,10 @@ def run_sweep(
     """Per-trial results of ``chunk_fn`` over every chunk, in trial order.
 
     ``chunk_fn(chunk, *args)`` must return one result per trial of the
-    chunk, in trial order.  With ``jobs > 1`` the chunks run on a
-    spawn-context process pool (serial fallback otherwise); either way the
-    returned list is the in-order concatenation, so worker count cannot
-    change any downstream statistic.
+    chunk, in trial order.  With ``jobs > 1`` the chunks run on the
+    process's spawn-context pool of ``jobs`` workers (serial fallback
+    otherwise); either way the returned list is the in-order
+    concatenation, so worker count cannot change any downstream statistic.
 
     Each run reports throughput telemetry (trials/sec, per-chunk timing)
     through :mod:`repro.obs` when observability is enabled.  Workers never
@@ -140,13 +154,15 @@ def run_sweep(
             results.extend(chunk_fn(chunk, *args))
             chunk_seconds.append(time.perf_counter() - t0)
     else:
-        ctx = mp.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks)),
-                                 mp_context=ctx) as pool:
+        pool = _pool(jobs)
+        try:
             futures = [pool.submit(chunk_fn, chunk, *args)
                        for chunk in chunks]
             for future in futures:
                 results.extend(future.result())
+        except BrokenProcessPool:
+            _pool.cache_clear()  # a dead worker poisons the pool
+            raise
     record_sweep(master_seed, trials, jobs, len(chunks),
                  time.perf_counter() - start, chunk_seconds)
     return results

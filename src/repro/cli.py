@@ -9,7 +9,6 @@ Usage::
     python -m repro.cli stats run.jsonl
     python -m repro.cli all --quick
     python -m repro.cli serve --dim 8 --faults 20 --port 7429
-    python -m repro.cli bench-service --quick
     python -m repro.cli campaign run spec.toml --out runs/c1 --jobs 4
     python -m repro.cli campaign resume runs/c1
     python -m repro.cli campaign report runs/c1
@@ -291,48 +290,6 @@ def _cmd_serve(argv: List[str]) -> int:
     return 0
 
 
-def _cmd_bench_service(argv: List[str]) -> int:
-    """``repro bench-service``: run the service harness, write the report."""
-    import json
-    from pathlib import Path
-
-    from .service.bench import MIN_BATCHED_SPEEDUP, run_service_bench
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench-service",
-        description="Benchmark micro-batched routing-as-a-service against "
-                    "one-kernel-call-per-request, with open-loop latency "
-                    "and an offline-cross-checked fault-churn run.",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller request counts; skips the "
-                             f"{MIN_BATCHED_SPEEDUP:.0f}x speedup floor "
-                             "(correctness asserts always run)")
-    parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_service.json"),
-                        help="report path (default ./BENCH_service.json)")
-    args = parser.parse_args(argv)
-
-    report = run_service_bench(quick=args.quick)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(report, indent=2))
-    print(f"\nwrote {args.output}")
-    latency = report["latency"]
-    print(f"speedup (batched vs naive): {report['speedup_batched']:.2f}x; "
-          f"sharded blocks {report['sharded']['routes_per_second']:,.0f} "
-          f"routes/s ({report['sharded']['speedup_vs_batched']:.1f}x "
-          f"batched)")
-    print(f"latency steady p50/p95/p99 "
-          f"{latency['steady']['p50_ms']:.2f}/"
-          f"{latency['steady']['p95_ms']:.2f}/"
-          f"{latency['steady']['p99_ms']:.2f} ms; churn p99 "
-          f"{latency['churn']['p99_ms']:.2f} ms "
-          f"({latency['p99_ratio']:.2f}x steady); churn torn reads "
-          f"{report['churn']['torn_reads']}, dropped "
-          f"{report['churn']['dropped']}")
-    return 0
-
-
 def _cmd_campaign(argv: List[str]) -> int:
     """``repro campaign``: the fault-campaign DSE engine.
 
@@ -438,8 +395,6 @@ def main(argv: List[str] | None = None) -> int:
     # the experiment parser (whose positional 'command' stays closed).
     if argv and argv[0] == "serve":
         return _cmd_serve(list(argv[1:]))
-    if argv and argv[0] == "bench-service":
-        return _cmd_bench_service(list(argv[1:]))
     if argv and argv[0] == "campaign":
         return _cmd_campaign(list(argv[1:]))
     parser = argparse.ArgumentParser(
@@ -450,9 +405,8 @@ def main(argv: List[str] | None = None) -> int:
         "command",
         choices=sorted(REGISTRY) + ["all", "list", "stats"],
         help="experiment id (see DESIGN.md), 'all', 'list', or "
-             "'stats RUN.jsonl' ('serve' and 'bench-service' run the "
-             "routing service, 'campaign' the DSE engine; see "
-             "'repro campaign --help')",
+             "'stats RUN.jsonl' ('serve' runs the routing service, "
+             "'campaign' the DSE engine; see 'repro campaign --help')",
     )
     parser.add_argument("path", nargs="?", default=None,
                         help="run file for the stats command")

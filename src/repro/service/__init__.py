@@ -28,9 +28,7 @@ service, and this package is that service:
   backoff-and-jitter retries over the retryable error codes
   (``E_RETRY``/``E_MOVED``/``E_OVERLOAD``), reconnect + tenant rebind;
 * :mod:`repro.service.server` — the ``repro serve`` TCP front-end
-  (binary frames, line-protocol compat shim);
-* :mod:`repro.service.bench` — the ``BENCH_service.json`` harness,
-  including the chaos-driven failover soak.
+  (binary frames, line-protocol compat shim).
 """
 
 from .client import ResilientClient, RetryPolicy
