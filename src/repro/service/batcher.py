@@ -48,10 +48,24 @@ from typing import Awaitable, Callable, Deque, List, Optional
 import numpy as np
 
 __all__ = ["PendingRequest", "PendingBlock", "MicroBatcher",
-           "MAX_PENDING_ROWS"]
+           "MAX_PENDING_ROWS", "check_endpoints"]
 
 #: Rows admitted (queued or executing) per batcher before submitters wait.
 MAX_PENDING_ROWS = 32_768
+
+#: Endpoints become int64 rows; the wire carries uint64.
+_ROW_MIN, _ROW_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def check_endpoints(src: int, dst: int) -> None:
+    """Raise :class:`ValueError` unless both endpoints fit an int64 row.
+
+    A pair that does not fit is a bad request of its own: refused before
+    it joins a batch, it cannot fail the rows batched with it.
+    """
+    for node in (src, dst):
+        if not _ROW_MIN <= node <= _ROW_MAX:
+            raise ValueError(f"node {node} does not fit a 64-bit row")
 
 
 @dataclass
@@ -209,14 +223,17 @@ class MicroBatcher:
     async def submit(self, src: int, dst: int) -> object:
         """Admit one request and await its response.
 
-        Raises :class:`RuntimeError` after :meth:`drain` (or the abort
-        cause after :meth:`abort`) — a closed batcher admits nothing, it
-        only finishes what it already holds.
+        Raises :class:`ValueError` for an endpoint outside int64, and
+        :class:`RuntimeError` after :meth:`drain` (or the abort cause
+        after :meth:`abort`) — a closed batcher admits nothing, it only
+        finishes what it already holds.
         """
         if self._closed:
             raise self._refusal()
+        src, dst = int(src), int(dst)
+        check_endpoints(src, dst)
         return await self._enqueue(
-            PendingRequest(src=int(src), dst=int(dst),
+            PendingRequest(src=src, dst=dst,
                            enqueued_ns=time.perf_counter_ns()),
             rows=1,
         )

@@ -8,10 +8,13 @@ Each connection's protocol is auto-detected from its **first byte**:
 
 * ``0xAB`` (the frame magic) — the length-prefixed binary protocol of
   :mod:`repro.service.wire`: pipelined request/reply frames matched by
-  ``req_id``, block routing, structured error frames.  Every frame is
-  dispatched as its own task, so a pipelined client's requests land in
-  the micro-batcher *concurrently* — which is what lets one connection
-  fill whole kernel batches.
+  ``req_id``, block routing, structured error frames.  Consecutive
+  ``ROUTE`` frames form a *run*: it closes when the session would wait
+  for more bytes, at the first frame of another op, or at EOF, and goes
+  to the router as one block — one admission, one batcher entry, one
+  epoch — whose replies leave in one write.  Every other frame is
+  dispatched as its own task, so a pipelined client's blocks and runs
+  land in the micro-batcher *concurrently*.
 * anything else — the original line protocol, one request per line, one
   JSON object per response line, so load generators and humans
   (``nc localhost 7429``) keep working unchanged:
@@ -31,13 +34,15 @@ Each connection's protocol is auto-detected from its **first byte**:
 Both protocols are codecs over one executor, :func:`_execute`: a binary
 frame decodes to ``(op, args)`` with :mod:`~repro.service.wire`, a line
 parses to the same ``(op, args)``, and each renders the executor's
-result in its own format.  Errors go through one table too,
-:func:`_error_of`: malformed input, an unknown op, an unknown tenant, or
-a dispatch failure is answered with an error frame (binary) or an
-``{"error": ..., "code": ...}`` line (text) carrying the same code, **and
-the connection stays alive** — only a framing desync (garbage where a
-frame header should be) or EOF closes a session, because after a desync
-there is no boundary left to resume from.
+result in its own format.  A run of ROUTE frames is the one exception:
+it goes to ``route_block`` and is rendered from the block's columns.
+Errors go through one table too, :func:`_error_of`: malformed input, an
+unknown op, an unknown tenant, or a dispatch failure is answered with an
+error frame (binary) or an ``{"error": ..., "code": ...}`` line (text)
+carrying the same code, **and the connection stays alive** — only a
+framing desync (garbage where a frame header should be) or EOF closes a
+session, because after a desync there is no boundary left to resume
+from.
 
 Concurrent connections share one router, so their requests micro-batch
 together — the whole point of fronting the batcher with a socket.
@@ -47,22 +52,17 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from . import wire
 from ..obs.instruments import record_wire_frame
-from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
-from .service import REJECTED, REJECTED_CODE
+from .batcher import check_endpoints
 from .shard import OverloadError, ShardDownError, ShardRetryError, \
     ShardRouter, TenantMovedError, UnknownTenantError
 
 __all__ = ["serve_forever", "handle_connection"]
-
-#: Response string -> wire code (scalar ROUTE replies re-encode the
-#: materialized ServiceResponse; blocks ship codes straight through).
-_STATUS_CODE = {s.value: i for i, s in enumerate(_STATUS_BY_CODE)}
-_STATUS_CODE[REJECTED] = REJECTED_CODE
-_CONDITION_CODE = {c.value: i for i, c in enumerate(_CONDITION_BY_CODE)}
 
 #: Exceptions that carry their own wire ``code``.
 _CODED = (wire.WireError, UnknownTenantError, TenantMovedError,
@@ -124,13 +124,8 @@ async def _dispatch_frame(
     op: int,
     payload: bytes,
 ) -> tuple:
-    """Decode one request frame, execute it, and encode the reply;
-    returns ``(reply_op, reply_payload)``."""
-    if op == wire.OP_ROUTE:
-        resp = await _execute(router, session, op, wire.decode_route(payload))
-        return wire.OP_ROUTE_R, wire.encode_route_reply(
-            resp.epoch, _STATUS_CODE[resp.status],
-            _CONDITION_CODE[resp.condition], resp.hops, resp.hamming)
+    """Decode one non-ROUTE request frame, execute it, and encode the
+    reply; returns ``(reply_op, reply_payload)``."""
     if op == wire.OP_BLOCK:
         block = await _execute(router, session, op,
                                wire.decode_block(payload))
@@ -150,6 +145,16 @@ async def _dispatch_frame(
     view = await _execute(router, session, op, ())  # unknown ops raise
     return wire.OP_EPOCH_R, wire._EPOCH_R.pack(
         view.epoch, len(view.faults.nodes))
+
+
+async def _send(writer: asyncio.StreamWriter, write_lock: asyncio.Lock,
+                data: bytes) -> None:
+    async with write_lock:
+        try:
+            writer.write(data)
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
 
 
 async def _run_frame(
@@ -174,12 +179,60 @@ async def _run_frame(
         error = True
         reply_op, reply = wire.OP_ERROR, wire.encode_error(*_error_of(exc))
     record_wire_frame(op, len(payload), error=error)
-    async with write_lock:
+    await _send(writer, write_lock, wire.encode_frame(reply_op, req_id, reply))
+
+
+async def _answer_run(
+    router: ShardRouter,
+    session: dict,
+    run: List[Tuple[int, bytes]],
+    writer: asyncio.StreamWriter,
+    write_lock: asyncio.Lock,
+) -> None:
+    """Route a run of ``(req_id, payload)`` ROUTE frames as one block and
+    send every frame's reply in one write.
+
+    The tenant is read when this task first runs, as a frame's own task
+    reads it: tasks start in the order they were created, so a ``TENANT``
+    frame read after the run's last frame has not rebound the session
+    yet, and one read before its first frame has.  A frame that does not
+    decode, or names a node outside int64, is refused alone; a failure
+    in the router answers every other frame with its own ERROR frame.
+    """
+    out, ids, srcs, dsts = [], [], [], []
+    for req_id, payload in run:
         try:
-            writer.write(wire.encode_frame(reply_op, req_id, reply))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            src, dst = wire.decode_route(payload)
+            check_endpoints(src, dst)
+        except (wire.WireError, ValueError) as exc:
+            record_wire_frame(wire.OP_ROUTE, len(payload), error=True)
+            out.append(wire.encode_frame(wire.OP_ERROR, req_id,
+                                         wire.encode_error(*_error_of(exc))))
+        else:
+            ids.append(req_id)
+            srcs.append(src)
+            dsts.append(dst)
+    if ids:
+        try:
+            block = await router.route_block(
+                _tenant(session), np.array(srcs, dtype=np.int64),
+                np.array(dsts, dtype=np.int64))
+        except Exception as exc:  # dispatch must never kill the session
+            error = wire.encode_error(*_error_of(exc))
+            out += [wire.encode_frame(wire.OP_ERROR, req_id, error)
+                    for req_id in ids]
+            failed = True
+        else:
+            out += [wire.encode_frame(
+                        wire.OP_ROUTE_R, req_id,
+                        wire.encode_route_reply(block.epoch, *row))
+                    for req_id, *row in zip(
+                        ids, block.status.tolist(), block.condition.tolist(),
+                        block.hops.tolist(), block.hamming.tolist())]
+            failed = False
+        for _ in ids:
+            record_wire_frame(wire.OP_ROUTE, wire._ROUTE.size, error=failed)
+    await _send(writer, write_lock, b"".join(out))
 
 
 async def _binary_session(
@@ -189,9 +242,33 @@ async def _binary_session(
     writer: asyncio.StreamWriter,
     first_header: bytes,
 ) -> None:
-    """Serve one binary connection; ``first_header`` is the peeked magic."""
+    """Serve one binary connection; ``first_header`` is the peeked magic.
+
+    ROUTE frames join the open run; the run closes at the first frame of
+    another op, at EOF, or — through a ``call_soon`` set when it opens —
+    once this task waits for bytes, i.e. when every frame already
+    buffered has joined it.
+    """
+    loop = asyncio.get_running_loop()
     write_lock = asyncio.Lock()
     tasks: set = set()
+    run: List[Tuple[int, bytes]] = []
+    closer: Optional[asyncio.Handle] = None
+
+    def spawn(coro) -> None:
+        task = loop.create_task(coro)
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    def close_run() -> None:
+        nonlocal run, closer
+        if closer is not None:
+            closer.cancel()
+            closer = None
+        if run:
+            spawn(_answer_run(router, session, run, writer, write_lock))
+            run = []
+
     pending: Optional[bytes] = first_header
     try:
         while True:
@@ -215,12 +292,16 @@ async def _binary_session(
                 if frame is None:
                     break
             op, req_id, payload = frame
-            task = asyncio.get_running_loop().create_task(
-                _run_frame(router, session, op, req_id, payload, writer,
-                           write_lock))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
+            if op == wire.OP_ROUTE:
+                if closer is None:
+                    closer = loop.call_soon(close_run)
+                run.append((req_id, payload))
+            else:
+                close_run()
+                spawn(_run_frame(router, session, op, req_id, payload,
+                                 writer, write_lock))
     finally:
+        close_run()
         if tasks:
             await asyncio.gather(*tuple(tasks), return_exceptions=True)
 

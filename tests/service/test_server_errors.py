@@ -195,6 +195,28 @@ class TestBinaryProtocolErrors:
         assert refused.status == 255 and refused.hops == 0
         assert ok.epoch == 1
 
+    def test_route_outside_int64_fails_alone_among_pipelined_frames(self):
+        pairs = [(1, 2), (3, 4), (1 << 63, 1), (5, 6), (2, (1 << 64) - 1),
+                 (9, 10)]
+
+        async def run(_router):
+            client = await WireClient.connect("127.0.0.1", PORT + 8)
+            async with client:
+                return await asyncio.gather(
+                    *(client.route(s, d) for s, d in pairs),
+                    return_exceptions=True)
+
+        replies = _serve(PORT + 8, run)
+        # the wire field is uint64, a kernel row int64: a node >= 2**63
+        # is a bad request of its own, never its neighbours' failure
+        for (src, dst), reply in zip(pairs, replies):
+            if max(src, dst) >= 1 << 63:
+                assert isinstance(reply, WireError)
+                assert reply.code == wire.E_BAD_REQUEST
+            else:
+                assert not isinstance(reply, Exception), reply
+                assert reply.epoch == 1 and reply.status != 255
+
     def test_error_frames_carry_the_request_id(self):
         async def run(_router):
             reader, writer = await asyncio.open_connection("127.0.0.1",
@@ -250,7 +272,8 @@ class TestOneErrorTable:
             raise exc
 
         async def run(router):
-            router.route = fail
+            # line routes reach router.route, binary ROUTE runs route_block
+            router.route = router.route_block = fail
             client = await WireClient.connect("127.0.0.1", PORT + 7)
             async with client:
                 with pytest.raises(WireError) as excinfo:

@@ -144,6 +144,23 @@ class TestEpochChurn:
         assert good.status != "rejected"
         assert bad.status == "rejected"
 
+    def test_endpoint_outside_int64_fails_alone(self):
+        async def run():
+            config = ServiceConfig(dimension=N, window_us=2000)
+            async with RoutingService(config, faults=FAULTS) as svc:
+                calls = [asyncio.ensure_future(svc.route(s, d))
+                         for s, d in ((1, 2), (1 << 63, 1), (3, 4),
+                                      (2, -(1 << 63) - 1))]
+                return (await asyncio.gather(*calls, return_exceptions=True),
+                        svc.batcher.flushes)
+
+        (first, high, second, low), flushes = asyncio.run(run())
+        # the int64 rows of a batch cannot hold these two: each is refused
+        # before it joins the window, and its neighbours are answered
+        assert isinstance(high, ValueError) and isinstance(low, ValueError)
+        assert first.status != "rejected" and second.status != "rejected"
+        assert flushes == 1
+
 
 class TestBatchingSemantics:
     def test_concurrent_requests_aggregate_into_one_flush(self):

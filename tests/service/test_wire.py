@@ -19,7 +19,7 @@ from repro.routing.batch import route_unicast_batch
 from repro.safety.levels import compute_safety_levels
 from repro.service import ShardRouter, WireClient, WireError
 from repro.service import wire
-from repro.service.server import serve_forever
+from repro.service.server import handle_connection, serve_forever
 from repro.service.service import REJECTED_CODE
 
 N = 5
@@ -205,3 +205,77 @@ class TestEndToEnd:
         assert route["source"] == 1 and route["dest"] == 2
         assert route["epoch"] == 1
         assert epoch["epoch"] == 1
+
+
+class TestRouteRuns:
+    """A session answers consecutive ROUTE frames as one block (a run)."""
+
+    TENANTS = {"blue": (5, FAULTS), "green": (6, FaultSet(nodes=[3, 12, 40]))}
+
+    @staticmethod
+    def _pairs(dimension, faults, count, seed):
+        healthy = [v for v in range(1 << dimension)
+                   if not faults.is_node_faulty(v)]
+        picks = np.random.default_rng(seed).choice(healthy, size=(count, 2))
+        return picks[:, 0].astype(np.int64), picks[:, 1].astype(np.int64)
+
+    def test_pipelined_burst_with_a_rebind_matches_offline(self):
+        half = 100
+        blue = self._pairs(*self.TENANTS["blue"], half, seed=5)
+        green = self._pairs(*self.TENANTS["green"], half, seed=6)
+        # req_id -> (tenant, row); TENANT frames are ids 1 and half + 2
+        frames, rows = [], {}
+        for name, (srcs, dsts), first in (("blue", blue, 1),
+                                          ("green", green, half + 2)):
+            frames.append(wire.encode_frame(wire.OP_TENANT, first,
+                                            name.encode()))
+            for k, (s, d) in enumerate(zip(srcs, dsts)):
+                rows[first + 1 + k] = (name, k)
+                frames.append(wire.encode_frame(
+                    wire.OP_ROUTE, first + 1 + k,
+                    wire.encode_route(int(s), int(d))))
+
+        async def main():
+            async with ShardRouter(shards=2, window_us=100) as router:
+                for name, (n, faults) in self.TENANTS.items():
+                    await router.add_tenant(name, dimension=n, faults=faults)
+                server = await asyncio.start_server(
+                    lambda r, w: handle_connection(router, r, w),
+                    "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port)
+                    writer.write(b"".join(frames))  # one pipelined burst
+                    replies = {}
+                    while len(replies) < len(frames):
+                        op, req_id, payload = await asyncio.wait_for(
+                            wire.read_frame(reader), timeout=10)
+                        assert req_id not in replies
+                        replies[req_id] = (op, payload)
+                    writer.close()
+                    await writer.wait_closed()
+                return replies, {
+                    name: (router.service_of(name).batcher.flushes,
+                           router.service_of(name).responses)
+                    for name in self.TENANTS}
+
+        replies, batching = asyncio.run(main())
+        assert set(replies) == set(rows) | {1, half + 2}
+        assert replies[1][0] == replies[half + 2][0] == wire.OP_TENANT_R
+        want = {}
+        for name, (srcs, dsts) in (("blue", blue), ("green", green)):
+            n, faults = self.TENANTS[name]
+            topo = Hypercube(n)
+            want[name] = route_unicast_batch(
+                topo, compute_safety_levels(topo, faults), srcs, dsts)
+        for req_id, (name, k) in rows.items():
+            op, payload = replies[req_id]
+            assert op == wire.OP_ROUTE_R, (req_id, payload)
+            ref = want[name]
+            assert wire.decode_route_reply(payload) == wire.RouteReply(
+                1, int(ref.status[0, k]), int(ref.condition[0, k]),
+                int(ref.hops[0, k]), int(ref.hamming[0, k]))
+        for name, (flushes, responses) in batching.items():
+            assert responses == half  # the rebind split the burst exactly
+            assert 1 <= flushes <= half // 10
