@@ -248,8 +248,9 @@ class MicroBatcher:
         """
         if self._closed:
             raise self._refusal()
-        srcs = np.ascontiguousarray(np.asarray(srcs, dtype=np.int64).ravel())
-        dsts = np.ascontiguousarray(np.asarray(dsts, dtype=np.int64).ravel())
+        # ravel() returns a contiguous vector, copying only when it must
+        srcs = np.asarray(srcs, dtype=np.int64).ravel()
+        dsts = np.asarray(dsts, dtype=np.int64).ravel()
         if len(srcs) != len(dsts):
             raise ValueError(
                 f"block vectors differ: {len(srcs)} sources, "

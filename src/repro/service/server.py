@@ -11,10 +11,13 @@ Each connection's protocol is auto-detected from its **first byte**:
   ``req_id``, block routing, structured error frames.  Consecutive
   ``ROUTE`` frames form a *run*: it closes when the session would wait
   for more bytes, at the first frame of another op, or at EOF, and goes
-  to the router as one block — one admission, one batcher entry, one
-  epoch — whose replies leave in one write.  Every other frame is
-  dispatched as its own task, so a pipelined client's blocks and runs
-  land in the micro-batcher *concurrently*.
+  to the router as one block — one batcher entry, one epoch — whose
+  replies leave in one write; admission still weighs each frame alone,
+  so the frames past a tenant's budget are shed one by one.  A run of
+  one frame goes as a single, so lone frames from many connections
+  still meet in the batcher's window.  Every other frame is dispatched
+  as its own task, so a pipelined client's blocks and runs land in the
+  micro-batcher *concurrently*.
 * anything else — the original line protocol, one request per line, one
   JSON object per response line, so load generators and humans
   (``nc localhost 7429``) keep working unchanged:
@@ -35,7 +38,7 @@ Both protocols are codecs over one executor, :func:`_execute`: a binary
 frame decodes to ``(op, args)`` with :mod:`~repro.service.wire`, a line
 parses to the same ``(op, args)``, and each renders the executor's
 result in its own format.  A run of ROUTE frames is the one exception:
-it goes to ``route_block`` and is rendered from the block's columns.
+it goes to ``route`` or ``route_block`` and is rendered per frame.
 Errors go through one table too, :func:`_error_of`: malformed input, an
 unknown op, an unknown tenant, or a dispatch failure is answered with an
 error frame (binary) or an ``{"error": ..., "code": ...}`` line (text)
@@ -52,17 +55,26 @@ from __future__ import annotations
 
 import asyncio
 import json
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import wire
 from ..obs.instruments import record_wire_frame
+from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
 from .batcher import check_endpoints
+from .service import REJECTED, REJECTED_CODE
 from .shard import OverloadError, ShardDownError, ShardRetryError, \
     ShardRouter, TenantMovedError, UnknownTenantError
 
 __all__ = ["serve_forever", "handle_connection"]
+
+#: Response string -> wire code (a lone ROUTE frame is answered from its
+#: ServiceResponse; a longer run ships the block's codes straight through).
+_STATUS_CODE = {s.value: i for i, s in enumerate(_STATUS_BY_CODE)}
+_STATUS_CODE[REJECTED] = REJECTED_CODE
+_CONDITION_CODE = {c.value: i for i, c in enumerate(_CONDITION_BY_CODE)}
 
 #: Exceptions that carry their own wire ``code``.
 _CODED = (wire.WireError, UnknownTenantError, TenantMovedError,
@@ -182,6 +194,28 @@ async def _run_frame(
     await _send(writer, write_lock, wire.encode_frame(reply_op, req_id, reply))
 
 
+async def _route_run(router: ShardRouter, tenant: str, srcs: List[int],
+                     dsts: List[int]) -> list:
+    """Route a run's pairs; returns one reply row ``(epoch, status,
+    condition, hops, hamming)`` per admitted frame, in frame order.
+
+    A lone frame goes as a single, so it waits in the batcher's window
+    with other connections' lone frames: a one-row block would skip that
+    window and cost more per row than the single it replaces.  A longer
+    run goes as one block whose rows admission weighs one by one.
+    """
+    if len(srcs) == 1:
+        resp = await router.route(tenant, srcs[0], dsts[0])
+        return [(resp.epoch, _STATUS_CODE[resp.status],
+                 _CONDITION_CODE[resp.condition], resp.hops, resp.hamming)]
+    block = await router.route_block(
+        tenant, np.array(srcs, dtype=np.int64),
+        np.array(dsts, dtype=np.int64), singles=True)
+    return list(zip(repeat(block.epoch), block.status.tolist(),
+                    block.condition.tolist(), block.hops.tolist(),
+                    block.hamming.tolist()))
+
+
 async def _answer_run(
     router: ShardRouter,
     session: dict,
@@ -189,15 +223,18 @@ async def _answer_run(
     writer: asyncio.StreamWriter,
     write_lock: asyncio.Lock,
 ) -> None:
-    """Route a run of ``(req_id, payload)`` ROUTE frames as one block and
-    send every frame's reply in one write.
+    """Route a run of ``(req_id, payload)`` ROUTE frames and send every
+    frame's reply in one write.
 
     The tenant is read when this task first runs, as a frame's own task
     reads it: tasks start in the order they were created, so a ``TENANT``
     frame read after the run's last frame has not rebound the session
     yet, and one read before its first frame has.  A frame that does not
-    decode, or names a node outside int64, is refused alone; a failure
-    in the router answers every other frame with its own ERROR frame.
+    decode, or names a node outside int64, is refused alone.  Admission
+    control weighs each frame as its own request: the frames within the
+    tenant's budget are routed and each one past it gets ``E_OVERLOAD``.
+    Any other failure in the router answers every frame with its own
+    ERROR frame.
     """
     out, ids, srcs, dsts = [], [], [], []
     for req_id, payload in run:
@@ -213,25 +250,25 @@ async def _answer_run(
             srcs.append(src)
             dsts.append(dst)
     if ids:
+        refusal = None
         try:
-            block = await router.route_block(
-                _tenant(session), np.array(srcs, dtype=np.int64),
-                np.array(dsts, dtype=np.int64))
+            tenant = _tenant(session)
+            rows = await _route_run(router, tenant, srcs, dsts)
         except Exception as exc:  # dispatch must never kill the session
-            error = wire.encode_error(*_error_of(exc))
+            rows, refusal = [], exc
+        out += [wire.encode_frame(wire.OP_ROUTE_R, req_id,
+                                  wire.encode_route_reply(*row))
+                for req_id, row in zip(ids, rows)]
+        if len(rows) < len(ids):
+            # no router error: the frames past the budget were shed
+            refusal = refusal or OverloadError(
+                f"tenant {tenant!r} over its admission budget; shed")
+            error = wire.encode_error(*_error_of(refusal))
             out += [wire.encode_frame(wire.OP_ERROR, req_id, error)
-                    for req_id in ids]
-            failed = True
-        else:
-            out += [wire.encode_frame(
-                        wire.OP_ROUTE_R, req_id,
-                        wire.encode_route_reply(block.epoch, *row))
-                    for req_id, *row in zip(
-                        ids, block.status.tolist(), block.condition.tolist(),
-                        block.hops.tolist(), block.hamming.tolist())]
-            failed = False
-        for _ in ids:
-            record_wire_frame(wire.OP_ROUTE, wire._ROUTE.size, error=failed)
+                    for req_id in ids[len(rows):]]
+        for k in range(len(ids)):
+            record_wire_frame(wire.OP_ROUTE, wire._ROUTE.size,
+                              error=k >= len(rows))
     await _send(writer, write_lock, b"".join(out))
 
 

@@ -41,6 +41,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,7 +273,7 @@ class RoutingService:
         frame of R routes costs one admission, one future, and one demux
         slice instead of R of each.
         """
-        record_block_submission(len(np.atleast_1d(srcs)))
+        record_block_submission(len(srcs))
         return await self.batcher.submit_block(srcs, dsts)
 
     async def inject_faults(
@@ -293,36 +294,32 @@ class RoutingService:
 
     def _gather_rows(
         self, batch: List[object]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten batch entries into row vectors + per-entry offsets."""
+    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """Flatten batch entries into row vectors + per-entry bounds:
+        entry ``i`` owns rows ``bounds[i]:bounds[i + 1]``."""
         if all(isinstance(e, PendingRequest) for e in batch):
             srcs = np.fromiter((e.src for e in batch), dtype=np.int64,
                                count=len(batch))
             dsts = np.fromiter((e.dst for e in batch), dtype=np.int64,
                                count=len(batch))
-            offsets = np.arange(len(batch) + 1, dtype=np.int64)
-            return srcs, dsts, offsets
-        counts = np.fromiter((e.rows for e in batch), dtype=np.int64,
-                             count=len(batch))
-        offsets = np.zeros(len(batch) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        srcs = np.empty(total, dtype=np.int64)
-        dsts = np.empty(total, dtype=np.int64)
-        for entry, lo, hi in zip(batch, offsets[:-1], offsets[1:]):
+            return srcs, dsts, list(range(len(batch) + 1))
+        bounds = [0, *accumulate(e.rows for e in batch)]
+        srcs = np.empty(bounds[-1], dtype=np.int64)
+        dsts = np.empty(bounds[-1], dtype=np.int64)
+        for entry, lo, hi in zip(batch, bounds, bounds[1:]):
             if isinstance(entry, PendingBlock):
                 srcs[lo:hi] = entry.srcs
                 dsts[lo:hi] = entry.dsts
             else:
                 srcs[lo] = entry.src
                 dsts[lo] = entry.dst
-        return srcs, dsts, offsets
+        return srcs, dsts, bounds
 
     async def _flush(self, batch: List[object]) -> None:
         """Route one micro-batch against the pinned current epoch."""
         start_ns = time.perf_counter_ns()
         queue_us = (start_ns - min(r.enqueued_ns for r in batch)) // 1000
-        srcs, dsts, offsets = self._gather_rows(batch)
+        srcs, dsts, bounds = self._gather_rows(batch)
         total = len(srcs)
         view = self.epochs.acquire()
         try:
@@ -361,15 +358,16 @@ class RoutingService:
             self.epochs.unpin(view.epoch)
 
         rejected = total - int(keep.size)
-        for entry, lo, hi in zip(batch, offsets[:-1], offsets[1:]):
-            lo, hi = int(lo), int(hi)
+        # Block columns are views of this flush's own result columns:
+        # entries own disjoint rows and nothing writes them afterwards.
+        for entry, lo, hi in zip(batch, bounds, bounds[1:]):
             if isinstance(entry, PendingBlock):
                 resp: object = BlockResponse(
                     sources=entry.srcs, dests=entry.dsts, epoch=view.epoch,
-                    status=status[lo:hi].copy(),
-                    condition=condition[lo:hi].copy(),
-                    hops=hops[lo:hi].copy(),
-                    hamming=hamming[lo:hi].copy(),
+                    status=status[lo:hi],
+                    condition=condition[lo:hi],
+                    hops=hops[lo:hi],
+                    hamming=hamming[lo:hi],
                 )
             else:
                 code = int(status[lo])

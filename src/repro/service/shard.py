@@ -423,18 +423,32 @@ class ShardRouter:
         priority = journal.priority if journal is not None else 0
         return self.max_tenant_inflight * (priority + 1)
 
-    def _admit(self, tenant: str, rows: int) -> None:
+    def _admit(self, tenant: str, rows: int, singles: bool) -> int:
+        """Admit ``rows`` in-flight rows for ``tenant``; returns how many.
+
+        A block is one request: admitted whole or shed.  With ``singles``
+        every row is a request of its own, as if each had arrived alone:
+        the leading rows that fit the budget are admitted and each row
+        past it is shed (and counted) by itself.  Nothing admitted raises
+        :class:`OverloadError`.
+        """
         limit = self.admission_limit(tenant)
         if limit is None:
-            return
+            return rows
         current = self._inflight.get(tenant, 0)
+        admitted = rows
         if current + rows > limit:
-            self.shed += 1
-            record_shed_request(tenant, rows=rows)
+            admitted = max(0, limit - current) if singles else 0
+            shed = rows - admitted if singles else 1
+            self.shed += shed
+            for _ in range(shed):
+                record_shed_request(tenant, rows=1 if singles else rows)
+        if not admitted:
             raise OverloadError(
                 f"tenant {tenant!r} over its admission budget "
                 f"({current}+{rows} > {limit} in-flight rows); shed")
-        self._inflight[tenant] = current + rows
+        self._inflight[tenant] = current + admitted
+        return admitted
 
     def _release(self, tenant: str, rows: int) -> None:
         if self.max_tenant_inflight is None:
@@ -484,29 +498,46 @@ class ShardRouter:
                 f"({type(exc).__name__}: {exc})"))
         return exc
 
-    async def _serve(self, tenant: str, rows: int, call):
-        """Resolve, admit ``rows``, await ``call(svc)``, release: the one
-        request path under :meth:`route` and :meth:`route_block`."""
+    async def _serve(self, tenant: str, rows: int, call,
+                     singles: bool = False):
+        """Resolve, admit ``rows``, await ``call(svc, admitted)``, release:
+        the one request path under :meth:`route` and :meth:`route_block`."""
         sid, svc = self._resolve(tenant)
-        self._admit(tenant, rows)
+        admitted = self._admit(tenant, rows, singles)
         try:
-            result = await call(svc)
+            result = await call(svc, admitted)
         except Exception as exc:
             record_shard_request(tenant, routes=0, error=True)
             raise self._died_under(tenant, sid, exc) from None
         finally:
-            self._release(tenant, rows)
-        record_shard_request(tenant, routes=rows)
+            self._release(tenant, admitted)
+        record_shard_request(tenant, routes=admitted)
         return result
 
     async def route(self, tenant: str, src: int, dst: int) -> ServiceResponse:
-        return await self._serve(tenant, 1, lambda svc: svc.route(src, dst))
+        return await self._serve(tenant, 1,
+                                 lambda svc, _rows: svc.route(src, dst))
 
     async def route_block(
-        self, tenant: str, srcs: np.ndarray, dsts: np.ndarray
+        self, tenant: str, srcs: np.ndarray, dsts: np.ndarray, *,
+        singles: bool = False,
     ) -> BlockResponse:
-        return await self._serve(tenant, int(np.asarray(srcs).size),
-                                 lambda svc: svc.route_block(srcs, dsts))
+        """Route ``srcs[i] -> dsts[i]`` as one block against one epoch.
+
+        The block is one request to admission control, admitted whole or
+        shed.  ``singles=True`` (a server's run of ROUTE frames) makes
+        each row a request of its own: the rows within the tenant's
+        budget are routed, each row past it is shed alone, and the
+        response covers only the admitted leading rows.
+        """
+        rows = len(srcs)
+
+        def call(svc, admitted):
+            if admitted < rows:
+                return svc.route_block(srcs[:admitted], dsts[:admitted])
+            return svc.route_block(srcs, dsts)
+
+        return await self._serve(tenant, rows, call, singles)
 
     async def inject_faults(
         self, tenant: str, add: Sequence[int] = (),

@@ -279,3 +279,81 @@ class TestRouteRuns:
         for name, (flushes, responses) in batching.items():
             assert responses == half  # the rebind split the burst exactly
             assert 1 <= flushes <= half // 10
+
+    def test_a_burst_past_the_budget_is_served_up_to_it(self):
+        srcs, dsts = self._pairs(*self.TENANTS["blue"], 8, seed=7)
+        burst = b"".join(
+            wire.encode_frame(wire.OP_ROUTE, k,
+                              wire.encode_route(int(s), int(d)))
+            for k, (s, d) in enumerate(zip(srcs, dsts)))
+
+        async def main():
+            async with ShardRouter(shards=1, window_us=100,
+                                   max_tenant_inflight=2) as router:
+                await router.add_tenant("blue", dimension=5, faults=FAULTS)
+                server = await asyncio.start_server(
+                    lambda r, w: handle_connection(router, r, w,
+                                                   tenant="blue"),
+                    "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", port)
+                    answers = []
+                    for _ in range(3):  # each burst waits for the last
+                        writer.write(burst)
+                        replies = {}
+                        while len(replies) < 8:
+                            op, req_id, payload = await asyncio.wait_for(
+                                wire.read_frame(reader), timeout=10)
+                            replies[req_id] = (op, payload)
+                        answers.append(replies)
+                    writer.close()
+                    await writer.wait_closed()
+                return answers, router.shed
+
+        answers, shed = asyncio.run(main())
+        for replies in answers:
+            served = sorted(k for k, (op, _) in replies.items()
+                            if op == wire.OP_ROUTE_R)
+            assert served == [0, 1]  # the budget's worth, in frame order
+            for k in range(2, 8):
+                op, payload = replies[k]
+                assert op == wire.OP_ERROR
+                assert wire.decode_error(payload).code == wire.E_OVERLOAD
+        assert shed == 3 * 6  # one shed per refused frame
+
+    def test_lone_frames_from_many_connections_share_one_call(self):
+        srcs, dsts = self._pairs(*self.TENANTS["blue"], 8, seed=8)
+
+        async def main():
+            async with ShardRouter(shards=1, window_us=60_000) as router:
+                await router.add_tenant("blue", dimension=5, faults=FAULTS)
+                server = await asyncio.start_server(
+                    lambda r, w: handle_connection(router, r, w,
+                                                   tenant="blue"),
+                    "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    conns = [await asyncio.open_connection("127.0.0.1", port)
+                             for _ in range(8)]
+                    before = router.service_of("blue").batcher.flushes
+                    for k, (_reader, writer) in enumerate(conns):
+                        writer.write(wire.encode_frame(
+                            wire.OP_ROUTE, k,
+                            wire.encode_route(int(srcs[k]), int(dsts[k]))))
+                        await asyncio.sleep(0.003)  # well inside the window
+                    replies = [await asyncio.wait_for(
+                                   wire.read_frame(reader), timeout=10)
+                               for reader, _writer in conns]
+                    flushes = router.service_of("blue").batcher.flushes
+                    for _reader, writer in conns:
+                        writer.close()
+                        await writer.wait_closed()
+                return replies, flushes - before
+
+        replies, flushes = asyncio.run(main())
+        assert [(op, req_id) for op, req_id, _ in replies] == \
+            [(wire.OP_ROUTE_R, k) for k in range(8)]
+        # each connection's run is one frame; the window gathers them all
+        assert flushes == 1
