@@ -117,7 +117,7 @@ EVENT_TYPES: Dict[str, Dict[str, bool]] = {
         "epoch": True,         # fault epoch the batch was routed against
         "routes": True,        # requests routed through the kernel
         "rejected": True,      # requests refused (faulty endpoint) pre-kernel
-        "backend": True,       # always "inline" (one thread executor)
+        "backend": True,       # always "inline" (on the event loop)
         "queue_us": True,      # oldest request's wait in the batch window
         "exec_us": True,       # kernel + demux wall time
         "entries": False,      # batcher entries aggregated (block

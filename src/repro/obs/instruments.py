@@ -376,7 +376,7 @@ def record_service_batch(
             epoch=epoch,
             routes=routes,
             rejected=rejected,
-            backend="inline",  # required by the v1 schema; one executor
+            backend="inline",  # required by the v1 schema; on the loop
             queue_us=queue_us,
             exec_us=exec_us,
         )

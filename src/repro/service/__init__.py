@@ -7,13 +7,13 @@ service, and this package is that service:
 * :mod:`repro.service.shm` — immutable, seqlock-tagged shared-memory
   table segments, reseal-able for the warm-spare ring;
 * :mod:`repro.service.epoch` — :class:`EpochManager`: incremental
-  re-stabilization on fault events, warm-spare sealing off the request
-  path, pointer-flip swap, pin-counted ring recycling;
+  re-stabilization on fault events, warm-spare sealing between flushes,
+  pointer-flip swap, pin-counted ring recycling;
 * :mod:`repro.service.batcher` — :class:`MicroBatcher`: size/deadline
   aggregation of concurrent requests (and whole blocks) into single
   kernel calls;
 * :mod:`repro.service.workers` — the flat per-batch routing task each
-  kernel call runs on the service's thread executor;
+  kernel call runs, inline on the event loop's thread;
 * :mod:`repro.service.service` — :class:`RoutingService`, the façade;
 * :mod:`repro.service.shard` — :class:`ShardRouter`: many tenant cubes
   multiplexed over a shard pool with consistent-hash placement,

@@ -9,7 +9,8 @@ flush through one **lane** and aggregating whatever queues behind it:
 * at most one flush per batcher is in flight; while it runs, new
   entries queue, and when it finishes the collector takes every queued
   entry, up to ``max_batch`` *rows*, as the next flush — *one* kernel
-  call — so a busy tenant's calls grow instead of multiplying;
+  call per ``max_batch`` rows — so a busy tenant's calls grow instead
+  of multiplying;
 * a **single** opens a ``window_us`` deadline clock, and further
   singles join it until the deadline fires or ``max_batch`` rows are
   waiting — whichever comes first closes the window, and its entries go
@@ -24,7 +25,7 @@ unit, which is what lets a pipelined client push thousands of routes
 through the event loop while paying per-*entry* (not per-route) asyncio
 overhead.  The accounting is row-based: a block counts as its row
 count, and entries are never split across flushes — a block's response
-always comes from exactly one kernel call against exactly one epoch.
+always comes from exactly one flush against exactly one epoch.
 
 Backpressure is a bounded row gate: at most :data:`MAX_PENDING_ROWS`
 rows may be in flight (queued or executing); ``submit``/``submit_block`` await

@@ -38,9 +38,9 @@ table served them: every response carries the epoch tag.
 The manager is thread-safe: fault events serialize on an event lock
 (they mutate the engine), pins and the ``current`` flip on a separate
 pin lock the request path takes only for dict-sized critical sections.
-The service calls :meth:`apply_fault_event` from an executor thread so
-the asyncio loop — and request intake — never stalls on a
-re-stabilization.
+The service calls :meth:`apply_fault_event` inline on its event loop's
+thread, between flushes: an incremental delta plus one reseal costs
+about as much as one kernel call.
 """
 
 from __future__ import annotations
@@ -160,8 +160,13 @@ class EpochManager:
 
     # -- naming & state ------------------------------------------------------
 
+    @property
+    def segment_prefix(self) -> str:
+        """The name prefix every segment of this manager carries."""
+        return f"repro_svc_{self.token}_r"
+
     def _new_segment(self):
-        name = f"repro_svc_{self.token}_r{self._next_segment_id}"
+        name = f"{self.segment_prefix}{self._next_segment_id}"
         self._next_segment_id += 1
         shm = create_unsealed_segment(name, self.topo.num_nodes)
         self._ring_segments.add(name)

@@ -272,14 +272,32 @@ async def _answer_run(
     await _send(writer, write_lock, b"".join(out))
 
 
+class _Unread:
+    """A connection's reader with bytes already read put back in front:
+    the sniffed first byte goes back so :func:`wire.read_frame` reads
+    the session's first frame like every other."""
+
+    def __init__(self, prefix: bytes, reader: asyncio.StreamReader) -> None:
+        self._prefix = prefix
+        self._reader = reader
+
+    async def readexactly(self, n: int) -> bytes:
+        head, self._prefix = self._prefix[:n], self._prefix[n:]
+        try:
+            return head + await self._reader.readexactly(n - len(head))
+        except asyncio.IncompleteReadError as exc:
+            raise asyncio.IncompleteReadError(head + exc.partial,
+                                              n) from None
+
+
 async def _binary_session(
     router: ShardRouter,
     session: dict,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    first_header: bytes,
+    first_byte: bytes,
 ) -> None:
-    """Serve one binary connection; ``first_header`` is the peeked magic.
+    """Serve one binary connection; ``first_byte`` is the peeked magic.
 
     ROUTE frames join the open run; the run closes at the first frame of
     another op, at EOF, or — through a ``call_soon`` set when it opens —
@@ -306,28 +324,16 @@ async def _binary_session(
             spawn(_answer_run(router, session, run, writer, write_lock))
             run = []
 
-    pending: Optional[bytes] = first_header
+    source = _Unread(first_byte, reader)
     try:
         while True:
-            if pending is not None:
-                try:
-                    header = pending + await reader.readexactly(
-                        wire.HEADER.size - len(pending))
-                except asyncio.IncompleteReadError:
-                    break
-                pending = None
-                magic, op, length, req_id = wire.HEADER.unpack(header)
-                if length > wire.MAX_PAYLOAD:
-                    break  # desync-grade violation; close
-                payload = await reader.readexactly(length) if length else b""
-                frame = (op, req_id, payload)
-            else:
-                try:
-                    frame = await wire.read_frame(reader)
-                except wire.WireError:
-                    break  # framing desync: nothing to resume from
-                if frame is None:
-                    break
+            try:
+                frame = await wire.read_frame(source)
+            except wire.WireError:
+                break  # framing desync: nothing to resume from
+            if frame is None:
+                break
+            source = reader
             op, req_id, payload = frame
             if op == wire.OP_ROUTE:
                 if closer is None:

@@ -5,20 +5,22 @@
 * an :class:`~repro.service.epoch.EpochManager` owning the safety-level
   table of the current fault epoch, published read-only through shared
   memory, re-stabilized *incrementally* on fault events, and swapped by
-  resealing a warm-spare segment off the request path;
+  resealing a warm-spare segment between flushes;
 * a :class:`~repro.service.batcher.MicroBatcher` aggregating concurrent
   ``route()`` calls — and whole :meth:`route_block` vectors — into
   single batched-kernel executions, one in flight at a time, with what
   queues behind it coalesced into the next;
-* a thread executor running each kernel call
-  (:func:`~repro.service.workers.route_task`, which attaches the epoch
-  segment by name); the kernel releases the GIL inside numpy, so the
-  event loop keeps taking requests while it runs.
+* the kernel call itself (:func:`~repro.service.workers.route_task`,
+  which attaches the epoch segment by name), run inline on the event
+  loop's thread.  The kernel is hundreds of numpy calls on arrays of a
+  few hundred rows, each short enough that a thread running it would
+  hand the GIL to the loop on every call, so a second thread buys no
+  overlap, only switches.  A flush holds the loop for at most
+  ``max_batch`` rows: a larger flush routes in ``max_batch``-row slices
+  against its one pinned epoch and yields between them.
 
-A service may run standalone (it builds its own executor) or as one
-shard behind a :class:`~repro.service.shard.ShardRouter`, in which case
-the router passes its *shared* executor in and the shard never shuts
-down what it does not own.
+A service may run standalone or as one shard behind a
+:class:`~repro.service.shard.ShardRouter`; either way it owns no thread.
 
 The per-request guarantees, each enforced by the test suite:
 
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -191,10 +192,8 @@ class RoutingService:
     ``route`` may be called from any number of concurrent tasks; that
     concurrency is exactly what the micro-batcher converts into batched
     kernel throughput.  ``route_block`` submits a whole vector as one
-    batcher entry — the wire path's unit of work.
-
-    ``threads`` injects a shared executor (the shard router's); the
-    service only shuts down an executor it created itself.
+    batcher entry — the wire path's unit of work.  Kernel calls and
+    fault events run on the event loop's thread.
     """
 
     def __init__(
@@ -202,19 +201,12 @@ class RoutingService:
         config: ServiceConfig,
         faults: Optional[FaultSet] = None,
         name_token: Optional[str] = None,
-        threads: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         self.config = config
         self.topo = Hypercube(config.dimension)
         self.epochs = EpochManager(self.topo, faults, name_token=name_token)
         self.batcher = MicroBatcher(self._flush, max_batch=config.max_batch,
                                     window_us=config.window_us)
-        # Two threads so epoch publication (inject_faults' stabilization
-        # + seal) never heads-of-line-blocks a kernel flush — the churn
-        # p99 ceiling in the bench depends on this.
-        self._threads = threads if threads is not None else \
-            ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-svc")
-        self._owns_threads = threads is None
         self._closed = False
         #: Responses issued / requests rejected, service lifetime totals.
         self.responses = 0
@@ -229,16 +221,14 @@ class RoutingService:
         await self.close()
 
     async def close(self) -> None:
-        """Drain in-flight batches, stop the executor, unlink every segment."""
+        """Drain in-flight batches, unlink every segment."""
         if self._closed:
             return
         self._closed = True
         await self.batcher.drain()
-        if self._owns_threads:
-            self._threads.shutdown(wait=True)
-        # Kernel calls attach segments in this process; drop those
-        # mappings before the manager unlinks so nothing lingers.
-        clear_table_cache()
+        # Kernel calls attach this service's segments in this process;
+        # drop those mappings before the manager unlinks them.
+        clear_table_cache(self.epochs.segment_prefix)
         self.epochs.close()
 
     def terminate(self) -> None:
@@ -248,7 +238,7 @@ class RoutingService:
         releases what the OS will not: the published segments.
         """
         self._closed = True
-        clear_table_cache()
+        clear_table_cache(self.epochs.segment_prefix)
         self.epochs.close()
 
     # -- the request path ----------------------------------------------------
@@ -279,16 +269,15 @@ class RoutingService:
     async def inject_faults(
         self, add: Sequence[int] = (), remove: Sequence[int] = ()
     ) -> EpochSwap:
-        """One fault event: bump the epoch without stalling the loop.
+        """One fault event: re-stabilize incrementally, reseal, flip.
 
-        The incremental re-stabilization and warm-spare reseal run on the
-        service's executor thread; request intake continues against the
-        old epoch until the pointer flip lands.
+        Runs inline on the loop's thread, between flushes: a flush
+        already pinned to the old epoch (a sliced one waiting between
+        slices) finishes on it, and every later flush routes on the new
+        one.
         """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._threads, self.epochs.apply_fault_event, tuple(add),
-            tuple(remove))
+        return self.epochs.apply_fault_event(add=tuple(add),
+                                             remove=tuple(remove))
 
     # -- batch execution -----------------------------------------------------
 
@@ -316,7 +305,13 @@ class RoutingService:
         return srcs, dsts, bounds
 
     async def _flush(self, batch: List[object]) -> None:
-        """Route one micro-batch against the pinned current epoch."""
+        """Route one micro-batch against the pinned current epoch.
+
+        Up to ``max_batch`` routable rows go in one kernel call, with no
+        await between pinning the epoch and answering; a larger batch
+        goes in ``max_batch``-row slices, yielding to the loop between
+        them, and is still answered from the one epoch it pinned.
+        """
         start_ns = time.perf_counter_ns()
         queue_us = (start_ns - min(r.enqueued_ns for r in batch)) // 1000
         srcs, dsts, bounds = self._gather_rows(batch)
@@ -334,14 +329,18 @@ class RoutingService:
             condition = np.full(total, _CONDITION_NONE_CODE, dtype=np.uint8)
             hops = np.zeros(total, dtype=np.int64)
             hamming = _popcount64(srcs ^ dsts)
-            if keep.size:
-                loop = asyncio.get_running_loop()
+            step = self.config.max_batch
+            for lo in range(0, len(keep), step):
+                if lo:
+                    # Let the loop serve others between slices; this
+                    # flush keeps its pinned epoch across the yield.
+                    await asyncio.sleep(0)
+                rows = keep[lo:lo + step]
                 try:
-                    epoch, k_status, k_condition, k_hops, k_hamming = \
-                        await loop.run_in_executor(
-                            self._threads, route_task, view.segment,
-                            view.epoch, self.topo.dimension, srcs[keep],
-                            dsts[keep], self.config.tie_break)
+                    _epoch, k_status, k_condition, k_hops, k_hamming = \
+                        route_task(view.segment, view.epoch,
+                                   self.topo.dimension, srcs[rows],
+                                   dsts[rows], self.config.tie_break)
                 except TornTableError:
                     # Cannot happen with sealed immutable segments — the
                     # counter existing (and staying 0) is the audit trail
@@ -350,10 +349,10 @@ class RoutingService:
                     if reg.enabled:
                         reg.counter("service.torn_reads").inc()
                     raise
-                status[keep] = k_status.astype(np.uint8)
-                condition[keep] = k_condition.astype(np.uint8)
-                hops[keep] = k_hops
-                hamming[keep] = k_hamming
+                status[rows] = k_status.astype(np.uint8)
+                condition[rows] = k_condition.astype(np.uint8)
+                hops[rows] = k_hops
+                hamming[rows] = k_hamming
         finally:
             self.epochs.unpin(view.epoch)
 

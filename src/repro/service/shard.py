@@ -1,10 +1,9 @@
-"""Sharded multi-cube serving: many tenants, one front-end, one executor.
+"""Sharded multi-cube serving: many tenants, one front-end, one loop.
 
 One :class:`~repro.service.service.RoutingService` serves one cube under
 one fault history.  Production traffic is many cubes — tenants with
-different dimensions, fault sets, and churn — and giving each its own
-executor wastes the one resource worth pooling (kernel threads).
-The :class:`ShardRouter` multiplexes instead:
+different dimensions, fault sets, and churn — and the
+:class:`ShardRouter` multiplexes them:
 
 * **Tenants** are named cubes, keyed by ``(tenant, n, fault set)`` at
   registration.  Each tenant gets its own epoch manager (own shared-
@@ -16,9 +15,10 @@ The :class:`ShardRouter` multiplexes instead:
   hash (SHA-1 ring with virtual nodes), so adding tenants spreads them
   stably and the mapping is reproducible across restarts — the same
   tenant name always lands on the same shard for a given shard count.
-* **The executor is shared.**  All shards route through one thread
-  executor — each kernel call attaches whatever epoch segment it names,
-  so tasks from different tenants interleave freely.
+* **One thread serves them all.**  Every tenant's kernel calls, fault
+  events and failover replays run inline on the event loop's thread,
+  interleaved at flush, event and replay-delta granularity; each kernel
+  call attaches whatever epoch segment it names.
 
 Failure semantics come in two flavors, mirroring the paper's fault
 model one layer up:
@@ -61,7 +61,6 @@ import asyncio
 import bisect
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, \
     Tuple
@@ -284,7 +283,7 @@ class ShardRouter:
         if workers != 0:
             raise ValueError(
                 f"workers={workers}: the process-pool backend was removed; "
-                f"kernel calls run on the router's thread executor")
+                f"kernel calls run on the event loop's thread")
         if max_tenant_inflight is not None and max_tenant_inflight < 1:
             raise ValueError("max_tenant_inflight must be >= 1 (or None)")
         self.auto_failover = auto_failover
@@ -301,10 +300,6 @@ class ShardRouter:
         self._flights: Dict[Tuple[str, int], asyncio.Future] = {}
         self.failovers: List[FailoverReport] = []
         self.shed = 0
-        # The shared executor: one thread per shard keeps one tenant's
-        # re-stabilization from stalling another shard's kernel calls.
-        self._threads = ThreadPoolExecutor(
-            max_workers=shards + 1, thread_name_prefix="repro-shard")
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -316,7 +311,7 @@ class ShardRouter:
         await self.close()
 
     async def close(self) -> None:
-        """Drain every live tenant, stop the executor, unlink segments."""
+        """Drain every live tenant, unlink segments."""
         if self._closed:
             return
         self._closed = True
@@ -326,7 +321,6 @@ class ShardRouter:
                     await svc.close()
                 else:
                     svc.terminate()
-        self._threads.shutdown(wait=True)
 
     # -- tenants -------------------------------------------------------------
 
@@ -363,8 +357,7 @@ class ShardRouter:
                 f"tenant {name!r} places on shard {sid}, which is down")
         config = ServiceConfig(dimension=dimension, tie_break=tie_break,
                                **self._defaults)
-        svc = RoutingService(config, faults=faults, name_token=name_token,
-                             threads=self._threads)
+        svc = RoutingService(config, faults=faults, name_token=name_token)
         await svc.__aenter__()
         shard.tenants[name] = svc
         self._placement[name] = sid
@@ -676,7 +669,9 @@ class ShardRouter:
         ``inject_faults`` delta through the fresh epoch manager — the
         recovered epoch number and fault state match the lost shard's
         bit-for-bit, and the warm-spare ring republishes the tables as
-        the replay runs.  Runs once per shard: a concurrent or later
+        the replay runs.  The replay runs on the loop's thread and
+        yields after each delta, so other tenants are served meanwhile.
+        Runs once per shard: a concurrent or later
         call returns the first call's report.  With no survivors the
         report records the stranding (``moved`` empty) and tenants stay
         down.
@@ -692,7 +687,6 @@ class ShardRouter:
         moved: Dict[str, int] = {}
         epochs_replayed = 0
         if any(s.alive for s in self.shards.values()):
-            loop = asyncio.get_running_loop()
             for name in names:
                 shard.tenants.pop(name)
                 journal = self._journals[name]
@@ -703,20 +697,14 @@ class ShardRouter:
                 config = ServiceConfig(
                     dimension=journal.dimension, tie_break=journal.tie_break,
                     **self._defaults)
-                svc = RoutingService(
-                    config, faults=journal.initial, name_token=token,
-                    threads=self._threads)
+                svc = RoutingService(config, faults=journal.initial,
+                                     name_token=token)
                 await svc.__aenter__()
-                if journal.deltas:
-                    deltas = tuple(journal.deltas)
-
-                    def _replay(svc=svc, deltas=deltas):
-                        for add, remove in deltas:
-                            svc.epochs.apply_fault_event(add=add,
-                                                         remove=remove)
-
-                    await loop.run_in_executor(self._threads, _replay)
-                    epochs_replayed += len(deltas)
+                for add, remove in tuple(journal.deltas):
+                    svc.epochs.apply_fault_event(add=add, remove=remove)
+                    epochs_replayed += 1
+                    # other tenants are served between deltas
+                    await asyncio.sleep(0)
                 self.shards[new_sid].tenants[name] = svc
                 self._placement[name] = new_sid
                 moved[name] = new_sid

@@ -165,12 +165,10 @@ class EpochTable:
             try:
                 self._shm.close()
             except BufferError:
-                # A borrower (an in-flight kernel call on another thread
-                # that grabbed our views before the copy-swap above) still
-                # exports the buffer.  Segments are immutable while
-                # visible, so the borrower's read stays consistent; the
-                # mapping itself closes when the last view dies.  Dropping
-                # our reference is all close() owes — unlinking is the
+                # A view still held elsewhere (say, by the traceback of a
+                # kernel call that raised) exports the buffer: the mapping
+                # goes with that view, and Python reports the handle's
+                # failed close as an ignored exception.  Unlinking is the
                 # publisher's job either way.
                 pass
             self._shm = None

@@ -1,10 +1,11 @@
-"""Executor-side routing: attach the epoch's shared table, run the kernel.
+"""Kernel-side routing: attach the epoch's shared table, run the kernel.
 
-This module is the *entire* code a kernel call runs on the service's
-executor thread — deliberately flat, following the block-level-autonomy
-principle: the service hands :func:`route_task` a fully-specified plan
-(segment name, expected epoch, request vectors) and it needs no further
-coordination to execute it.  It never sees the epoch manager, the
+This module is the *entire* code a kernel call runs, inline in the
+service's flush on the event loop's thread — deliberately flat,
+following the block-level-autonomy principle: the service hands
+:func:`route_task` a fully-specified plan (segment name, expected
+epoch, request vectors) and it needs no further coordination to
+execute it.  It never sees the epoch manager, the
 batcher, or the engine; its only shared state is the read-only epoch
 table, reached through :func:`repro.service.shm.attach_epoch_table` by
 segment name and cached per process.
@@ -26,17 +27,18 @@ __all__ = ["route_task", "clear_table_cache"]
 
 #: Attached tables kept per process.  A single service needs two in
 #: steady state (the serving epoch plus the one draining), but the cache
-#: is process-wide: a shard router runs one executor thread per shard
-#: and every tenant contributes its own segment pair, so the capacity
-#: must cover tenants x 2 or a multi-tenant soak thrashes on
-#: attach/evict instead of hitting.  Mappings are cheap (no copies).
+#: is process-wide: every tenant of a shard router contributes its own
+#: segment pair, so the capacity must cover tenants x 2 or a
+#: multi-tenant soak thrashes on attach/evict instead of hitting.
+#: Mappings are cheap (no copies).
 _CACHE_CAPACITY = 16
 
 _TABLES: "OrderedDict[str, EpochTable]" = OrderedDict()
 
-#: route_task runs on per-shard executor threads while shutdown paths
-#: (terminate, clear_table_cache) run on the event loop thread — the
-#: cache is shared mutable state and every touch takes this lock.
+#: One service runs route_task and its shutdown paths (terminate,
+#: clear_table_cache) on its loop's thread, so a kernel call's views of
+#: a table are gone before any close; the lock covers services running
+#: on event loops in other threads of the same process.
 _TABLES_LOCK = threading.Lock()
 
 
@@ -58,8 +60,6 @@ def _attach_cached(segment: str, epoch: int) -> EpochTable:
         _TABLES[segment] = table
         while len(_TABLES) > _CACHE_CAPACITY:
             _, old = _TABLES.popitem(last=False)
-            # close() tolerates borrowers: a concurrent kernel call on
-            # another shard's thread may still hold this table's views.
             old.close()
     return table
 
@@ -101,10 +101,9 @@ def route_task(
     )
 
 
-def clear_table_cache() -> None:
-    """Close and forget every cached attachment (test/shutdown hygiene)."""
+def clear_table_cache(prefix: str) -> None:
+    """Close and forget the cached attachments of every segment whose
+    name starts with ``prefix``."""
     with _TABLES_LOCK:
-        while _TABLES:
-            _, table = _TABLES.popitem()
-            table.close()
-
+        for name in [name for name in _TABLES if name.startswith(prefix)]:
+            _TABLES.pop(name).close()

@@ -9,6 +9,7 @@ offline kernel.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from repro.obs import metrics, observed, read_events, summarize_run
 from repro.obs.events import validate_stream
 from repro.obs.runstats import render_stats
 from repro.service import (
+    EpochManager,
     FailureDetector,
+    HashRing,
     HealthConfig,
     OverloadError,
     ShardDownError,
@@ -354,6 +357,88 @@ class TestFailover:
                 assert router.failovers == []
 
         asyncio.run(run())
+
+
+class TestReplayOnTheLoop:
+    """Failover replays a journal inline on the event loop's thread,
+    yielding after each delta so other tenants keep being served."""
+
+    FAULTS = FaultSet(nodes=[3, 12])
+    #: Twelve journaled deltas: node 9 added, removed, added, ...
+    DELTAS = [((9,), ()) if k % 2 == 0 else ((), (9,)) for k in range(12)]
+
+    @staticmethod
+    def _record_events(monkeypatch, on_event):
+        apply = EpochManager.apply_fault_event
+
+        def recording(manager, *args, **kwargs):
+            swap = apply(manager, *args, **kwargs)
+            on_event(threading.get_ident())
+            return swap
+
+        monkeypatch.setattr(EpochManager, "apply_fault_event", recording)
+
+    def test_replay_runs_on_the_loop_thread(self, monkeypatch):
+        threads = []
+        self._record_events(monkeypatch, threads.append)
+
+        async def run():
+            async with ShardRouter(shards=2, window_us=100,
+                                   auto_failover=True) as router:
+                sid = await router.add_tenant("blue", dimension=5,
+                                              faults=self.FAULTS)
+                for add, remove in self.DELTAS[:3]:
+                    await router.inject_faults("blue", add=add,
+                                               remove=remove)
+                await router.kill_shard(sid)
+                assert router.failovers[-1].epochs_replayed == 3
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(run())
+        # three fault events, then their three-delta replay
+        assert threads == [loop_thread] * 6
+
+    def test_other_tenants_are_served_during_a_replay(self, monkeypatch):
+        ring = HashRing([0, 1])
+        other = next(name for name in (f"other-{k}" for k in range(100))
+                     if ring.place(name) != ring.place("blue"))
+        srcs, dsts = _workload(64, 5, self.FAULTS, seed=5)
+
+        async def run():
+            async with ShardRouter(shards=2, window_us=100,
+                                   auto_failover=True) as router:
+                sid = await router.add_tenant("blue", dimension=5,
+                                              faults=self.FAULTS)
+                assert await router.add_tenant(
+                    other, dimension=5, faults=self.FAULTS) != sid
+                for add, remove in self.DELTAS:
+                    await router.inject_faults("blue", add=add,
+                                               remove=remove)
+                replayed, answered, routed = [], [], []
+
+                def on_event(_thread):
+                    replayed.append(1)
+                    if len(replayed) == 1:  # the replay's first delta
+                        task = asyncio.ensure_future(
+                            router.route_block(other, srcs, dsts))
+                        task.add_done_callback(
+                            lambda _task: answered.append(len(replayed)))
+                        routed.append(task)
+
+                self._record_events(monkeypatch, on_event)
+                await router.kill_shard(sid)
+                return router.failovers[-1], await routed[0], answered
+
+        report, block, answered = asyncio.run(run())
+        assert report.epochs_replayed == len(self.DELTAS)
+        # the other tenant's block was answered after the replay's first
+        # delta and before its last
+        assert len(answered) == 1 and 1 <= answered[0] < len(self.DELTAS)
+        assert block.epoch == 1
+        ref = _offline(5, self.FAULTS, srcs, dsts)
+        assert np.array_equal(block.status.astype(np.int64),
+                              ref.status.reshape(-1))
+        assert np.array_equal(block.hops, ref.hops.reshape(-1))
 
 
 class TestAdmissionControl:

@@ -1,7 +1,7 @@
 """End-to-end routing service tests: identity, epochs, batching, cleanup.
 
 The load-bearing claim is **bit-identity**: a response from the service —
-through the batcher, the shared-memory table, and the executor — equals
+through the batcher, the shared-memory table, and the kernel — equals
 the offline ``route_unicast_batch`` outcome for (epoch fault set, src,
 dst), for every epoch a churn run touches.  Around it: batching window
 and lane semantics (one kernel call in flight per batcher, queued work
@@ -24,8 +24,9 @@ from repro.routing.batch import (
     route_unicast_batch,
 )
 from repro.safety.levels import compute_safety_levels
-from repro.service import RoutingService, ServiceConfig
+from repro.service import EpochManager, RoutingService, ServiceConfig
 from repro.service import service as service_mod
+from repro.service import workers
 from repro.service.service import REJECTED
 from repro.service.shm import segment_exists
 
@@ -203,64 +204,53 @@ class TestBatchingSemantics:
         asyncio.run(run())
 
 
-class _GatedKernel:
-    """Stands in for ``route_task``: records each kernel call's rows and
-    overlap, and holds calls until :attr:`release` is set, so a test can
-    queue work behind a busy lane."""
+class _Kernel:
+    """Stands in for ``route_task``: records each kernel call's rows,
+    epoch, overlap and thread, and runs ``during(k)`` inside call ``k``.
 
-    def __init__(self, hold: bool = False, delay_s: float = 0.0) -> None:
+    The service calls the kernel inline on the event loop's thread, so
+    ``during`` must not block: it queues work behind the busy lane by
+    creating tasks, which run (and enqueue) once the call returns.
+    """
+
+    def __init__(self) -> None:
         self.rows = []
         self.epochs = []
+        self.threads = []
         self.active = 0
         self.max_active = 0
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        if not hold:
-            self.release.set()
-        self.delay_s = delay_s
-        self._lock = threading.Lock()
+        self.during = None
         self._route = service_mod.route_task
 
     def __call__(self, segment, epoch, n, srcs, dsts, tie_break):
-        with self._lock:
-            self.active += 1
-            self.max_active = max(self.max_active, self.active)
-            self.rows.append(len(srcs))
-            self.epochs.append(epoch)
-        self.entered.set()
+        call = len(self.rows)
+        self.active += 1
+        self.max_active = max(self.max_active, self.active)
+        self.rows.append(len(srcs))
+        self.epochs.append(epoch)
+        self.threads.append(threading.get_ident())
         try:
-            assert self.release.wait(timeout=10), "kernel never released"
-            time.sleep(self.delay_s)
+            if self.during is not None:
+                self.during(call)
             return self._route(segment, epoch, n, srcs, dsts, tie_break)
         finally:
-            with self._lock:
-                self.active -= 1
+            self.active -= 1
 
 
 @pytest.fixture
 def kernel(monkeypatch):
-    """A held :class:`_GatedKernel` patched in where the service calls it."""
-    gated = _GatedKernel(hold=True)
-    monkeypatch.setattr(service_mod, "route_task", gated)
-    yield gated
-    gated.release.set()
+    """A :class:`_Kernel` patched in where the service calls it."""
+    stand_in = _Kernel()
+    monkeypatch.setattr(service_mod, "route_task", stand_in)
+    return stand_in
 
 
-async def _until(flag: threading.Event) -> None:
-    for _ in range(5_000):
-        if flag.is_set():
-            return
-        await asyncio.sleep(0.001)
-    raise AssertionError("timed out waiting on the kernel")
-
-
-async def _submit_spaced(svc, blocks):
-    """Submit blocks a few windows apart, each as its own task."""
-    tasks = []
-    for srcs, dsts in blocks:
-        tasks.append(asyncio.ensure_future(svc.route_block(srcs, dsts)))
-        await asyncio.sleep(0.002)
-    return tasks
+def _queue(svc, blocks=(), singles=()):
+    """Tasks submitting ``blocks`` then ``singles``, in that order; made
+    inside a kernel call, they enqueue behind it once it returns."""
+    return ([asyncio.ensure_future(svc.route_block(s, d))
+             for s, d in blocks]
+            + [asyncio.ensure_future(svc.route(s, d)) for s, d in singles])
 
 
 def _blocks(count, rows, seed):
@@ -288,12 +278,21 @@ class TestLane:
         async def run():
             async with RoutingService(ServiceConfig(dimension=N),
                                       faults=FAULTS) as svc:
-                head = asyncio.ensure_future(svc.route_block(*first))
-                await _until(kernel.entered)
-                tail = await _submit_spaced(svc, queued)
-                assert kernel.rows == [8]  # all three queue behind head
-                kernel.release.set()
-                return await head, await asyncio.gather(*tail), \
+                tail = []
+
+                def during(call):
+                    if call == 0:
+                        tail.extend(_queue(svc, queued))
+                        asyncio.get_running_loop().call_soon(queued_all)
+
+                def queued_all():
+                    # runs once all three are queued, before the lane
+                    # takes them
+                    assert kernel.rows == [8]
+
+                kernel.during = during
+                head = await svc.route_block(*first)
+                return head, await asyncio.gather(*tail), \
                     svc.batcher.flushes
 
         head, tail, flushes = asyncio.run(run())
@@ -301,9 +300,7 @@ class TestLane:
         assert flushes == 2
         assert len(head) == 8 and [len(b) for b in tail] == [8, 8, 8]
 
-    def test_flushes_of_one_batcher_never_overlap(self, monkeypatch):
-        gated = _GatedKernel(delay_s=0.002)
-        monkeypatch.setattr(service_mod, "route_task", gated)
+    def test_flushes_of_one_batcher_never_overlap(self, kernel):
         blocks = _blocks(12, 8, seed=12)
         singles = _workload(40, seed=13)
 
@@ -316,10 +313,10 @@ class TestLane:
                 return svc.batcher.flushes
 
         flushes = asyncio.run(run())
-        assert gated.max_active == 1
-        assert flushes == len(gated.rows) > 1
-        assert sum(gated.rows) == 12 * 8 + 40
-        assert max(gated.rows) <= 16 + 8  # greedy rows, blocks never split
+        assert kernel.max_active == 1
+        assert flushes == len(kernel.rows) > 1
+        assert sum(kernel.rows) == 12 * 8 + 40
+        assert max(kernel.rows) <= 16  # one call routes <= max_batch rows
 
     def test_block_on_idle_batcher_skips_the_window(self):
         (srcs, dsts), = _blocks(1, 8, seed=14)
@@ -347,14 +344,19 @@ class TestLane:
         async def run():
             async with RoutingService(ServiceConfig(dimension=N),
                                       faults=FAULTS) as svc:
-                head = asyncio.ensure_future(svc.route_block(*first))
-                await _until(kernel.entered)
-                # the epoch moves on while the lane is busy: the held
-                # flush keeps epoch 1, the coalesced one pins epoch 2
-                await svc.inject_faults(add=[victim])
-                tail = await _submit_spaced(svc, queued)
-                kernel.release.set()
-                return await head, await asyncio.gather(*tail)
+                tail = []
+
+                def during(call):
+                    if call == 0:
+                        # the epoch moves on while the lane is busy: the
+                        # running flush keeps epoch 1, the coalesced one
+                        # pins epoch 2
+                        svc.epochs.apply_fault_event(add=[victim])
+                        tail.extend(_queue(svc, queued))
+
+                kernel.during = during
+                head = await svc.route_block(*first)
+                return head, await asyncio.gather(*tail)
 
         head, tail = asyncio.run(run())
         assert kernel.rows == [6, 24]
@@ -373,19 +375,22 @@ class TestLane:
         async def run():
             svc = RoutingService(ServiceConfig(dimension=N), faults=FAULTS)
             async with svc:
-                head = asyncio.ensure_future(svc.route_block(*first))
-                await _until(kernel.entered)
-                tail = await _submit_spaced(svc, queued)
-                tail += [asyncio.ensure_future(svc.route(s, d))
-                         for s, d in singles]
-                await asyncio.sleep(0.02)
-                closing = asyncio.ensure_future(svc.batcher.drain())
-                await asyncio.sleep(0.02)
-                assert not closing.done()  # the collector waits on the lane
-                kernel.release.set()
-                await closing
+                tail, closing = [], []
+
+                def during(call):
+                    if call == 0:
+                        tail.extend(_queue(svc, queued, singles))
+                        closing.append(asyncio.ensure_future(
+                            svc.batcher.drain()))
+                    else:
+                        # the drain waits on the collector and its lane
+                        assert not closing[0].done()
+
+                kernel.during = during
+                head = await svc.route_block(*first)
+                await closing[0]
                 assert all(t.done() for t in tail)
-                return await head, await asyncio.gather(*tail)
+                return head, await asyncio.gather(*tail)
 
         head, tail = asyncio.run(run())
         assert kernel.rows == [8, 8 + 8 + 5]
@@ -399,17 +404,24 @@ class TestLane:
         async def run():
             svc = RoutingService(ServiceConfig(dimension=N), faults=FAULTS)
             async with svc:
-                head = asyncio.ensure_future(svc.route_block(*first))
-                await _until(kernel.entered)
-                tail = await _submit_spaced(svc, queued)
-                tail.append(asyncio.ensure_future(svc.route(1, 2)))
-                await asyncio.sleep(0.02)
-                svc.batcher.abort(RuntimeError("shard killed"))
-                results = await asyncio.gather(*tail,
-                                               return_exceptions=True)
-                assert not head.done()  # the held flush still owns it
-                kernel.release.set()
-                return await head, results
+                tail, head = [], []
+
+                def during(call):
+                    if call == 0:
+                        tail.extend(_queue(svc, queued, [(1, 2)]))
+                        asyncio.get_running_loop().call_soon(abort)
+
+                def abort():
+                    # the three are queued; the flush that just ran owns
+                    # the head, whose task has not resumed yet
+                    svc.batcher.abort(RuntimeError("shard killed"))
+                    assert not head[0].done()
+
+                kernel.during = during
+                head.append(asyncio.ensure_future(svc.route_block(*first)))
+                block = await head[0]
+                return block, await asyncio.gather(*tail,
+                                                   return_exceptions=True)
 
         head, results = asyncio.run(run())
         assert kernel.rows == [8]
@@ -417,6 +429,59 @@ class TestLane:
         assert len(results) == 3
         assert all(isinstance(r, RuntimeError) and "shard killed" in str(r)
                    for r in results)
+
+    def test_kernel_calls_and_fault_events_run_on_the_loop_thread(
+            self, kernel, monkeypatch):
+        events = []
+        apply = EpochManager.apply_fault_event
+
+        def recording(manager, *args, **kwargs):
+            events.append(threading.get_ident())
+            return apply(manager, *args, **kwargs)
+
+        monkeypatch.setattr(EpochManager, "apply_fault_event", recording)
+        (srcs, dsts), = _blocks(1, 8, seed=19)
+
+        async def run():
+            async with RoutingService(ServiceConfig(dimension=N),
+                                      faults=FAULTS) as svc:
+                await svc.route_block(srcs, dsts)
+                await svc.inject_faults(add=[30])
+                await svc.route(1, 2)
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(run())
+        assert kernel.threads == [loop_thread] * 2
+        assert events == [loop_thread]
+
+    def test_a_block_past_max_batch_routes_in_slices_on_one_epoch(
+            self, kernel):
+        (srcs, dsts), = _blocks(1, 40, seed=20)
+        victim = 30  # healthy at epoch 1, faulty from epoch 2
+        # a row of a later slice uses it: routed on epoch 2 it would be
+        # refused, and the offline check below would fail
+        assert victim in srcs[16:]
+
+        async def run():
+            config = ServiceConfig(dimension=N, max_batch=16)
+            async with RoutingService(config, faults=FAULTS) as svc:
+                swaps = []
+
+                def during(call):
+                    if call == 0:
+                        swaps.append(asyncio.ensure_future(
+                            svc.inject_faults(add=[victim])))
+
+                kernel.during = during
+                block = await svc.route_block(srcs, dsts)
+                return block, swaps[0]
+
+        block, swap = asyncio.run(run())
+        assert kernel.rows == [16, 16, 8]
+        # the fault event landed between slices; the block kept its epoch
+        assert swap.done() and swap.result().epoch == 2
+        assert kernel.epochs == [1, 1, 1] and block.epoch == 1
+        _assert_offline(block, srcs, dsts, FAULTS)
 
 
 class TestTelemetry:
@@ -466,3 +531,17 @@ class TestShutdownHygiene:
         asyncio.run(run())
         assert names
         assert not any(segment_exists(v) for v in names)
+
+    def test_close_drops_only_its_own_attachments(self):
+        async def run():
+            config = ServiceConfig(dimension=N, window_us=100)
+            async with RoutingService(config, faults=FAULTS) as other:
+                await other.route(1, 2)
+                table = workers._TABLES[other.epochs.current.segment]
+                async with RoutingService(config, faults=FAULTS) as svc:
+                    await svc.route(1, 2)
+                # the other service's attachment is still cached, open
+                return (workers._TABLES[other.epochs.current.segment]
+                        is table, table._shm is not None)
+
+        assert asyncio.run(run()) == (True, True)

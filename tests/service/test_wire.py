@@ -18,6 +18,7 @@ from repro.core import FaultSet, Hypercube
 from repro.routing.batch import route_unicast_batch
 from repro.safety.levels import compute_safety_levels
 from repro.service import ShardRouter, WireClient, WireError
+from repro.service import service as service_mod
 from repro.service import wire
 from repro.service.server import handle_connection, serve_forever
 from repro.service.service import REJECTED_CODE
@@ -357,3 +358,82 @@ class TestRouteRuns:
             [(wire.OP_ROUTE_R, k) for k in range(8)]
         # each connection's run is one frame; the window gathers them all
         assert flushes == 1
+
+
+class TestOneLoop:
+    """Kernel calls run on the event loop's thread, so a block larger
+    than ``max_batch`` routes in slices and yields between them."""
+
+    def test_epoch_frame_answered_while_a_long_block_routes(
+            self, monkeypatch):
+        rows, max_batch = 512, 8
+        slices = rows // max_batch
+        srcs, dsts = _workload(rows, seed=9)
+        calls, order = [], []
+        route = service_mod.route_task
+
+        async def main():
+            async with ShardRouter(shards=2, window_us=100,
+                                   max_batch=max_batch) as router:
+                await router.add_tenant("blue", dimension=N, faults=FAULTS)
+                await router.add_tenant("green", dimension=6)
+                server = await asyncio.start_server(
+                    lambda r, w: handle_connection(router, r, w),
+                    "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    conns = {}
+                    for name in ("blue", "green"):
+                        reader, writer = await asyncio.open_connection(
+                            "127.0.0.1", port)
+                        writer.write(wire.encode_frame(
+                            wire.OP_TENANT, 1, name.encode()))
+                        op, _, _ = await asyncio.wait_for(
+                            wire.read_frame(reader), timeout=10)
+                        assert op == wire.OP_TENANT_R
+                        conns[name] = reader, writer
+
+                    def kernel(segment, epoch, n, srcs, dsts, tie_break):
+                        calls.append(epoch)
+                        if len(calls) == 1:  # the block's first slice
+                            conns["green"][1].write(
+                                wire.encode_frame(wire.OP_EPOCH, 2))
+                        return route(segment, epoch, n, srcs, dsts,
+                                     tie_break)
+
+                    monkeypatch.setattr(service_mod, "route_task", kernel)
+
+                    async def reply(name):
+                        frame = await asyncio.wait_for(
+                            wire.read_frame(conns[name][0]), timeout=10)
+                        order.append((name, len(calls)))
+                        return frame
+
+                    epoch = asyncio.ensure_future(reply("green"))
+                    conns["blue"][1].write(wire.encode_frame(
+                        wire.OP_BLOCK, 2, wire.encode_block(srcs, dsts)))
+                    block = await reply("blue")
+                    epoch = await epoch
+                    for _reader, writer in conns.values():
+                        writer.close()
+                        await writer.wait_closed()
+                return block, epoch
+
+        (block_op, _, block_payload), (epoch_op, _, _) = asyncio.run(main())
+        assert (block_op, epoch_op) == (wire.OP_BLOCK_R, wire.OP_EPOCH_R)
+        # the EPOCH reply arrived first, while the block was mid-route
+        assert [name for name, _ in order] == ["green", "blue"]
+        assert order[0][1] < slices and order[1][1] == slices
+        # every slice routed on the one epoch the block pinned
+        assert calls == [1] * slices
+        reply = wire.decode_block_reply(block_payload)
+        assert reply.epoch == 1
+        topo = Hypercube(N)
+        ref = route_unicast_batch(topo, compute_safety_levels(topo, FAULTS),
+                                  srcs, dsts)
+        assert np.array_equal(reply.status.astype(np.int64),
+                              ref.status.reshape(-1))
+        assert np.array_equal(reply.condition.astype(np.int64),
+                              ref.condition.reshape(-1))
+        assert np.array_equal(reply.hops, ref.hops.reshape(-1))
+        assert np.array_equal(reply.hamming, ref.hamming.reshape(-1))
