@@ -38,6 +38,8 @@ def test_e13_dynamic_policies(benchmark, write_artifact):
     assert rows["state-change"][3] == 0.0   # never stale
     assert rows["state-change"][5] == 0.0   # never lossy
     assert rows["periodic/10"][3] > 0.0     # long cadence goes stale
+    # periodic exchanges are wasted on stable status (Section 2.2)
+    assert rows["periodic/1"][1] > rows["state-change"][1]
     write_artifact("e13_dynamic", table.render())
 
 

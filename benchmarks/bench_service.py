@@ -25,8 +25,8 @@ Six measurements over one faulty cube, all through the real
   p50/p95/p99 are reported in milliseconds.
 * **Open-loop latency, churn phase.**  The same arrival schedule with
   fault injections spliced in at even intervals, so the tail directly
-  prices the cost of epoch publication (warm-spare publishing keeps
-  stabilization off the request path).
+  prices the cost of epoch publication (an incremental re-stabilization
+  plus one table seal, inline between flushes).
 * **Fault churn correctness.**  Request waves overlap with fault
   injections, so batches land on both sides of every epoch swap.  Every
   response is then re-derived *offline*: group responses by their epoch
@@ -298,13 +298,12 @@ async def _churn_run(
     pairs: Sequence[Tuple[int, int]],
     swaps: int,
     rng: np.random.Generator,
-) -> Tuple[List[ServiceResponse], Dict[int, frozenset], int, Dict]:
+) -> Tuple[List[ServiceResponse], Dict[int, frozenset], int]:
     """Route ``pairs`` in waves overlapping ``swaps`` fault injections.
 
     Each injection fires while the wave before it is still in flight, so
     batches straddle the swap and responses carry both epoch tags.
-    Returns (responses, epoch -> fault-node set, torn-read count,
-    spare-ring counters).
+    Returns (responses, epoch -> fault-node set, torn-read count).
     """
     torn = 0
     epoch_faults: Dict[int, frozenset] = {}
@@ -325,9 +324,7 @@ async def _churn_run(
                     responses.append(await task)
                 except TornTableError:
                     torn += 1
-        ring = {"spare_hits": svc.epochs.spare_hits,
-                "spare_misses": svc.epochs.spare_misses}
-    return responses, epoch_faults, torn, ring
+    return responses, epoch_faults, torn
 
 
 def _pick_victim(
@@ -436,7 +433,7 @@ async def _run(quick: bool) -> Dict:
     p99_ratio = round(churn_lat["p99_ms"] / max(steady["p99_ms"], 1e-9), 3)
 
     churn_pairs = draw_workload(topo, faults, churn_total, rng)
-    churn_resps, epoch_faults, torn, ring = await _churn_run(
+    churn_resps, epoch_faults, torn = await _churn_run(
         batched_cfg, faults, churn_pairs, churn_swaps, rng)
     assert torn == 0, f"{torn} torn-table reads under churn"
     assert len(churn_resps) == churn_total, (
@@ -464,7 +461,7 @@ async def _run(quick: bool) -> Dict:
             "offered_rps": round(lat_rate, 1),
             "best_of": _LATENCY_REPEATS,
             "steady": steady,
-            "churn": {**churn_lat, **ring},
+            "churn": churn_lat,
             "p99_ratio": p99_ratio,
         },
         "churn": {

@@ -282,10 +282,10 @@ def _cmd_serve(argv: List[str]) -> int:
                         await task
                     except (asyncio.CancelledError, Exception):
                         pass
-        # async-with close() drained and unlinked every epoch segment.
+        # async-with close() drained every tenant's queued routes.
 
     asyncio.run(run())
-    print("repro serve: shut down cleanly (all epoch segments unlinked)",
+    print("repro serve: shut down cleanly (every queued route answered)",
           flush=True)
     return 0
 

@@ -124,7 +124,7 @@ EVENT_TYPES: Dict[str, Dict[str, bool]] = {
                                # submissions carry many routes per entry)
     },
     # One fault epoch swap: the epoch manager re-stabilized the level
-    # table (incrementally) and published a fresh shared-memory segment.
+    # table (incrementally) and sealed a fresh read-only table.
     "epoch_swap": {
         "n": True,             # cube dimension
         "epoch": True,         # the *new* epoch number
@@ -133,7 +133,7 @@ EVENT_TYPES: Dict[str, Dict[str, bool]] = {
         "faults": True,        # total faulty nodes in the new epoch
         "publish_us": True,    # re-stabilize + publish wall time
         "fallback": True,      # incremental engine fell back to full sweeps
-        "spare": False,        # table sealed into a warm-spare segment
+        "spare": False,        # always true (kept for the layout)
         "flip_us": False,      # pointer-flip slice visible to requests
     },
     # One completed shard failover: a dead shard's tenants re-placed on

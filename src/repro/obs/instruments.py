@@ -98,8 +98,6 @@ STANDARD_COUNTERS: Tuple[str, ...] = (
     "service.epoch_swaps",
     "service.torn_reads",
     "service.blocks",
-    "service.spare_hits",
-    "service.spare_misses",
     "service.wire_frames",
     "service.wire_errors",
     "shard.requests",
@@ -492,17 +490,15 @@ def record_epoch_swap(
     faults: int,
     publish_us: int,
     fallback: bool,
-    spare: bool = True,
     flip_us: int = 0,
 ) -> None:
     """One fault-epoch swap published by the service's epoch manager.
 
-    Fired after the new shared-memory table is sealed and the service
+    Fired after the new read-only table is sealed and the service
     reference has swapped — every batch flushed from this point routes
-    against epoch ``epoch``.  ``publish_us`` is the off-request-path cost
-    (re-stabilize + seal), ``flip_us`` the only slice the request path
-    can contend with, and ``spare`` says whether the table landed in a
-    warm-spare segment (hit) or an overflow allocation (miss).  The delta
+    against epoch ``epoch``.  ``publish_us`` is the re-stabilize + seal
+    cost and ``flip_us`` the reference swap; the event's ``spare`` field
+    is always True, kept so the event layout does not change.  The delta
     bookkeeping itself (dirty sets, waves, protocol messages) is already
     covered by the engine's ``incremental_update`` event; this one
     records the *service-level* transition and its latency split.
@@ -512,8 +508,6 @@ def record_epoch_swap(
         return
     if reg.enabled:
         reg.counter("service.epoch_swaps").inc()
-        reg.counter("service.spare_hits" if spare
-                    else "service.spare_misses").inc()
         reg.histogram("service.publish_us").observe(publish_us)
         reg.histogram("service.flip_us").observe(flip_us)
     if rec is not None:
@@ -526,7 +520,7 @@ def record_epoch_swap(
             faults=faults,
             publish_us=publish_us,
             fallback=fallback,
-            spare=spare,
+            spare=True,
             flip_us=flip_us,
         )
 

@@ -73,7 +73,6 @@ class RunStats:
     service_exec_us_sum: int = 0
     epoch_swaps: int = 0
     epoch_swap_fallbacks: int = 0
-    epoch_spare_hits: int = 0
     epoch_faults_added: int = 0
     epoch_faults_removed: int = 0
     epoch_publish_us_sum: int = 0
@@ -234,8 +233,6 @@ def summarize_run(path: Union[str, Path]) -> RunStats:
             stats.epoch_swaps += 1
             if rec["fallback"]:
                 stats.epoch_swap_fallbacks += 1
-            if rec.get("spare", True):
-                stats.epoch_spare_hits += 1
             stats.epoch_faults_added += rec["added"]
             stats.epoch_faults_removed += rec["removed"]
             stats.epoch_publish_us_sum += rec["publish_us"]
@@ -369,8 +366,7 @@ def render_stats(stats: RunStats) -> str:
         )
         lines.append(
             f"  epochs:     swaps={stats.epoch_swaps} "
-            f"(fallbacks={stats.epoch_swap_fallbacks}, "
-            f"warm_spares={stats.epoch_spare_hits})  "
+            f"(fallbacks={stats.epoch_swap_fallbacks})  "
             f"last_epoch={stats.epoch_last}  "
             f"faults +{stats.epoch_faults_added}/-{stats.epoch_faults_removed}  "
             f"publish_us_sum={stats.epoch_publish_us_sum}  "

@@ -330,9 +330,9 @@ def pack_neighbor_levels(levels: np.ndarray, n: int) -> np.ndarray:
     The precompute-once half of the packed-word walk: node ``v``'s word
     holds neighbor ``j``'s level in nibble ``j``, so a route step reads a
     single int64 instead of gathering ``n`` levels.  The routing service
-    publishes exactly this array (alongside the raw levels) into each
-    epoch's shared-memory table, paying the ``n`` full-cube gathers once
-    per *fault epoch* rather than once per batch call.  Requires
+    seals exactly this array (alongside the raw levels) into each
+    epoch's read-only table, paying the ``n`` full-cube gathers once per
+    *fault epoch* rather than once per batch call.  Requires
     ``n <= 15`` (levels ``<= n`` must fit a 4-bit nibble).
     """
     if n > _PACKED_MAX_DIMENSION:

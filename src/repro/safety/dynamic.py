@@ -11,7 +11,10 @@ FaultSchedule` tick by tick under a policy and accounts for
 * **GS traffic** — exact message counts of the state-change-driven
   (on-change) protocol, reproduced analytically from the vectorized sweeps
   (a level change costs one message per healthy neighbor, per round); the
-  analytic count is cross-validated against the simulator in the tests;
+  analytic count is cross-validated against the simulator in the tests.
+  A periodic refresh is an unconditional exchange instead: every healthy
+  node sends to each healthy neighbor in every round the refresh runs
+  (at least one, even when nothing changed);
 * **staleness** — ticks during which the routing layer acts on levels
   that no longer match the true fixed point.
 
@@ -239,7 +242,9 @@ class DynamicLevelTracker:
     policy:
         ``"state-change"`` — recompute at every tick that carries an
         event (nodes notice a neighbor's change immediately);
-        ``"periodic"`` — recompute every ``period`` ticks regardless.
+        ``"periodic"`` — recompute every ``period`` ticks regardless,
+        each refresh charged its full exchange (see the module
+        docstring).
     period:
         Cadence for the periodic policy (ignored otherwise).
     """
@@ -271,6 +276,7 @@ class DynamicLevelTracker:
             time=0, fault_events=0, recomputed=True, gs_rounds=0,
             gs_messages=known.gs_messages, levels_current=True,
         ))
+        table = topo.neighbor_table()
         events_by_time: dict = {}
         for ev in self.schedule.events:
             events_by_time.setdefault(ev.time, []).append(ev)
@@ -288,6 +294,11 @@ class DynamicLevelTracker:
                 # policy skipped are folded into the next due delta.
                 stats = known.set_faults(faults_now)
                 rounds, messages = stats.rounds, stats.messages
+                if self.policy == "periodic":
+                    healthy = ~faults_now.node_mask(topo.num_nodes)
+                    links = int((healthy[table] & healthy[:, None]).sum())
+                    rounds = max(1, rounds)
+                    messages = rounds * links
             truth.set_faults(faults_now)
             result.ticks.append(TickRecord(
                 time=t,

@@ -4,16 +4,15 @@ The paper's argument — safety levels are cheap to maintain and make each
 route decision nearly free — has the exact shape of a high-throughput
 service, and this package is that service:
 
-* :mod:`repro.service.shm` — immutable, seqlock-tagged shared-memory
-  table segments, reseal-able for the warm-spare ring;
 * :mod:`repro.service.epoch` — :class:`EpochManager`: incremental
-  re-stabilization on fault events, warm-spare sealing between flushes,
-  pointer-flip swap, pin-counted ring recycling;
+  re-stabilization on fault events, each epoch's table sealed as
+  read-only arrays (:class:`EpochView`), swapped by one reference flip;
 * :mod:`repro.service.batcher` — :class:`MicroBatcher`: size/deadline
   aggregation of concurrent requests (and whole blocks) into single
   kernel calls;
 * :mod:`repro.service.workers` — the flat per-batch routing task each
-  kernel call runs, inline on the event loop's thread;
+  kernel call runs, inline on the event loop's thread, after checking
+  it was handed the epoch it expects (:class:`TornTableError`);
 * :mod:`repro.service.service` — :class:`RoutingService`, the façade;
 * :mod:`repro.service.shard` — :class:`ShardRouter`: many tenant cubes
   multiplexed over a shard pool with consistent-hash placement,
@@ -39,14 +38,13 @@ from .service import BlockResponse, RoutingService, ServiceConfig, \
 from .shard import FailoverReport, HashRing, OverloadError, Shard, \
     ShardDownError, ShardRetryError, ShardRouter, TenantJournal, \
     TenantMovedError, UnknownTenantError
-from .shm import EpochTable, TornTableError, attach_epoch_table
 from .wire import WireClient, WireError
+from .workers import TornTableError, attach_epoch_table
 
 __all__ = [
     "EpochManager",
     "EpochSwap",
     "EpochView",
-    "EpochTable",
     "TornTableError",
     "attach_epoch_table",
     "RoutingService",

@@ -376,8 +376,7 @@ def _render_line(op: int, args: tuple, result) -> dict:
     if op == wire.OP_TENANT:
         return {"tenant": args[0], "epoch": result.epoch, "n": result.n}
     if op == wire.OP_EPOCH:
-        return {"epoch": result.epoch, "faults": len(result.faults.nodes),
-                "segment": result.segment}
+        return {"epoch": result.epoch, "faults": len(result.faults.nodes)}
     return {"epoch": result.epoch,
             "rounds": result.stats.rounds,
             "messages": result.stats.messages,

@@ -3,21 +3,21 @@
 :class:`RoutingService` is the façade that assembles the pieces:
 
 * an :class:`~repro.service.epoch.EpochManager` owning the safety-level
-  table of the current fault epoch, published read-only through shared
-  memory, re-stabilized *incrementally* on fault events, and swapped by
-  resealing a warm-spare segment between flushes;
+  table of the current fault epoch as read-only arrays, re-stabilized
+  *incrementally* on fault events, and swapped by one reference flip
+  between flushes;
 * a :class:`~repro.service.batcher.MicroBatcher` aggregating concurrent
   ``route()`` calls — and whole :meth:`route_block` vectors — into
   single batched-kernel executions, one in flight at a time, with what
   queues behind it coalesced into the next;
 * the kernel call itself (:func:`~repro.service.workers.route_task`,
-  which attaches the epoch segment by name), run inline on the event
-  loop's thread.  The kernel is hundreds of numpy calls on arrays of a
-  few hundred rows, each short enough that a thread running it would
-  hand the GIL to the loop on every call, so a second thread buys no
-  overlap, only switches.  A flush holds the loop for at most
+  handed the epoch's view), run inline on the event loop's thread.
+  The kernel is hundreds of numpy calls on arrays of a few hundred
+  rows, each short enough that a thread running it would hand the GIL
+  to the loop on every call, so a second thread buys no overlap, only
+  switches.  A flush holds the loop for at most
   ``max_batch`` rows: a larger flush routes in ``max_batch``-row slices
-  against its one pinned epoch and yields between them.
+  against the one epoch view it took and yields between them.
 
 A service may run standalone or as one shard behind a
 :class:`~repro.service.shard.ShardRouter`; either way it owns no thread.
@@ -28,9 +28,9 @@ The per-request guarantees, each enforced by the test suite:
   ``route_unicast_batch`` outcome on (epoch fault set, src, dst) —
   status, admitting condition, hop count.
 * **Epoch integrity.**  Every response carries the epoch it was computed
-  against, and that epoch's table was sealed (seqlock-verified) before
-  any batch read it: no response is ever derived from a torn or
-  mixed-epoch table.  A block is answered from exactly one epoch.
+  against, and that epoch's table was sealed read-only before any batch
+  read it: no response is ever derived from a torn or mixed-epoch
+  table.  A block is answered from exactly one epoch.
 * **No drops.**  Every admitted request gets exactly one response, even
   across epoch swaps and shutdown; requests whose endpoint is faulty *at
   their batch's epoch* are answered with ``status="rejected"`` rather
@@ -54,8 +54,7 @@ from ..obs.instruments import metrics, record_block_submission, \
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
 from .batcher import MicroBatcher, PendingBlock, PendingRequest
 from .epoch import EpochManager, EpochSwap
-from .shm import TornTableError
-from .workers import clear_table_cache, route_task
+from .workers import TornTableError, route_task
 
 __all__ = ["ServiceConfig", "ServiceResponse", "BlockResponse",
            "RoutingService", "REJECTED", "REJECTED_CODE",
@@ -200,11 +199,10 @@ class RoutingService:
         self,
         config: ServiceConfig,
         faults: Optional[FaultSet] = None,
-        name_token: Optional[str] = None,
     ) -> None:
         self.config = config
         self.topo = Hypercube(config.dimension)
-        self.epochs = EpochManager(self.topo, faults, name_token=name_token)
+        self.epochs = EpochManager(self.topo, faults)
         self.batcher = MicroBatcher(self._flush, max_batch=config.max_batch,
                                     window_us=config.window_us)
         self._closed = False
@@ -221,24 +219,17 @@ class RoutingService:
         await self.close()
 
     async def close(self) -> None:
-        """Drain in-flight batches, unlink every segment."""
+        """Drain in-flight batches, then refuse fault events."""
         if self._closed:
             return
         self._closed = True
         await self.batcher.drain()
-        # Kernel calls attach this service's segments in this process;
-        # drop those mappings before the manager unlinks them.
-        clear_table_cache(self.epochs.segment_prefix)
         self.epochs.close()
 
     def terminate(self) -> None:
-        """Synchronous last-resort cleanup (signal handlers, atexit).
-
-        Skips draining — callers on this path are exiting *now* — but
-        releases what the OS will not: the published segments.
-        """
+        """Stop without draining (a dead shard): refuse fault events.
+        Queued work is the caller's to abort."""
         self._closed = True
-        clear_table_cache(self.epochs.segment_prefix)
         self.epochs.close()
 
     # -- the request path ----------------------------------------------------
@@ -269,12 +260,12 @@ class RoutingService:
     async def inject_faults(
         self, add: Sequence[int] = (), remove: Sequence[int] = ()
     ) -> EpochSwap:
-        """One fault event: re-stabilize incrementally, reseal, flip.
+        """One fault event: re-stabilize incrementally, seal, flip.
 
         Runs inline on the loop's thread, between flushes: a flush
-        already pinned to the old epoch (a sliced one waiting between
-        slices) finishes on it, and every later flush routes on the new
-        one.
+        already holding the old epoch's view (a sliced one waiting
+        between slices) finishes on it, and every later flush routes on
+        the new one.
         """
         return self.epochs.apply_fault_event(add=tuple(add),
                                              remove=tuple(remove))
@@ -305,56 +296,52 @@ class RoutingService:
         return srcs, dsts, bounds
 
     async def _flush(self, batch: List[object]) -> None:
-        """Route one micro-batch against the pinned current epoch.
+        """Route one micro-batch against the current epoch's table.
 
         Up to ``max_batch`` routable rows go in one kernel call, with no
-        await between pinning the epoch and answering; a larger batch
-        goes in ``max_batch``-row slices, yielding to the loop between
-        them, and is still answered from the one epoch it pinned.
+        await between taking the epoch's view and answering; a larger
+        batch goes in ``max_batch``-row slices, yielding to the loop
+        between them, and is still answered from the one view it took.
         """
         start_ns = time.perf_counter_ns()
         queue_us = (start_ns - min(r.enqueued_ns for r in batch)) // 1000
         srcs, dsts, bounds = self._gather_rows(batch)
         total = len(srcs)
-        view = self.epochs.acquire()
-        try:
-            bad = ((srcs < 0) | (srcs >= self.topo.num_nodes)
-                   | (dsts < 0) | (dsts >= self.topo.num_nodes))
-            live = ~bad
-            live[live] &= ((view.levels[srcs[live]] > 0)
-                           & (view.levels[dsts[live]] > 0))
-            keep = np.flatnonzero(live)
-            # Full-width result columns, pre-filled with the refusal row.
-            status = np.full(total, REJECTED_CODE, dtype=np.uint8)
-            condition = np.full(total, _CONDITION_NONE_CODE, dtype=np.uint8)
-            hops = np.zeros(total, dtype=np.int64)
-            hamming = _popcount64(srcs ^ dsts)
-            step = self.config.max_batch
-            for lo in range(0, len(keep), step):
-                if lo:
-                    # Let the loop serve others between slices; this
-                    # flush keeps its pinned epoch across the yield.
-                    await asyncio.sleep(0)
-                rows = keep[lo:lo + step]
-                try:
-                    _epoch, k_status, k_condition, k_hops, k_hamming = \
-                        route_task(view.segment, view.epoch,
-                                   self.topo.dimension, srcs[rows],
-                                   dsts[rows], self.config.tie_break)
-                except TornTableError:
-                    # Cannot happen with sealed immutable segments — the
-                    # counter existing (and staying 0) is the audit trail
-                    # the benchmark and smoke job assert on.
-                    reg = metrics()
-                    if reg.enabled:
-                        reg.counter("service.torn_reads").inc()
-                    raise
-                status[rows] = k_status.astype(np.uint8)
-                condition[rows] = k_condition.astype(np.uint8)
-                hops[rows] = k_hops
-                hamming[rows] = k_hamming
-        finally:
-            self.epochs.unpin(view.epoch)
+        view = self.epochs.current
+        bad = ((srcs < 0) | (srcs >= self.topo.num_nodes)
+               | (dsts < 0) | (dsts >= self.topo.num_nodes))
+        live = ~bad
+        live[live] &= ((view.levels[srcs[live]] > 0)
+                       & (view.levels[dsts[live]] > 0))
+        keep = np.flatnonzero(live)
+        # Full-width result columns, pre-filled with the refusal row.
+        status = np.full(total, REJECTED_CODE, dtype=np.uint8)
+        condition = np.full(total, _CONDITION_NONE_CODE, dtype=np.uint8)
+        hops = np.zeros(total, dtype=np.int64)
+        hamming = _popcount64(srcs ^ dsts)
+        step = self.config.max_batch
+        for lo in range(0, len(keep), step):
+            if lo:
+                # Let the loop serve others between slices; this
+                # flush keeps its view (its epoch) across the yield.
+                await asyncio.sleep(0)
+            rows = keep[lo:lo + step]
+            try:
+                _epoch, k_status, k_condition, k_hops, k_hamming = \
+                    route_task(view, view.epoch, self.topo.dimension,
+                               srcs[rows], dsts[rows], self.config.tie_break)
+            except TornTableError:
+                # Cannot happen: the view is the epoch's own sealed
+                # table.  The counter existing (and staying 0) is the
+                # audit trail the benchmark and smoke job assert on.
+                reg = metrics()
+                if reg.enabled:
+                    reg.counter("service.torn_reads").inc()
+                raise
+            status[rows] = k_status.astype(np.uint8)
+            condition[rows] = k_condition.astype(np.uint8)
+            hops[rows] = k_hops
+            hamming[rows] = k_hamming
 
         rejected = total - int(keep.size)
         # Block columns are views of this flush's own result columns:

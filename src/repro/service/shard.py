@@ -6,10 +6,9 @@ different dimensions, fault sets, and churn — and the
 :class:`ShardRouter` multiplexes them:
 
 * **Tenants** are named cubes, keyed by ``(tenant, n, fault set)`` at
-  registration.  Each tenant gets its own epoch manager (own shared-
-  memory ring, own fault history) and its own micro-batcher — tenants
-  never share epochs, so one tenant's churn cannot tear another's
-  tables.
+  registration.  Each tenant gets its own epoch manager (own level
+  tables, own fault history) and its own micro-batcher — tenants never
+  share epochs, so one tenant's churn cannot tear another's tables.
 * **Shards** are failure domains: a fixed pool of slots, each holding
   the services of the tenants placed on it.  Placement is a consistent
   hash (SHA-1 ring with virtual nodes), so adding tenants spreads them
@@ -18,7 +17,7 @@ different dimensions, fault sets, and churn — and the
 * **One thread serves them all.**  Every tenant's kernel calls, fault
   events and failover replays run inline on the event loop's thread,
   interleaved at flush, event and replay-delta granularity; each kernel
-  call attaches whatever epoch segment it names.
+  call routes on the epoch view its flush took.
 
 Failure semantics come in two flavors, mirroring the paper's fault
 model one layer up:
@@ -41,8 +40,8 @@ rebuilds its service *exactly*: every tenant's initial fault set and
 each subsequent ``inject_faults`` delta are journaled at the router, so
 recovery replays the journal through a fresh
 :class:`~repro.service.epoch.EpochManager` — the recovered epoch number
-and fault state are bit-identical to the lost shard's, and the
-warm-spare ring republishes the tables as a side effect of the replay.
+and fault state are bit-identical to the lost shard's, and the replay
+seals the tables as a side effect.
 Requests caught in the window fail with retryable errors
 (:class:`ShardRetryError` → ``E_RETRY``, :class:`TenantMovedError` →
 ``E_MOVED``) that the resilient client (:mod:`repro.service.client`)
@@ -218,7 +217,6 @@ class TenantJournal:
 
     dimension: int
     tie_break: str
-    name_token: Optional[str]
     priority: int
     initial: FaultSet
     deltas: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = \
@@ -311,7 +309,7 @@ class ShardRouter:
         await self.close()
 
     async def close(self) -> None:
-        """Drain every live tenant, unlink segments."""
+        """Drain every live tenant; stop the others."""
         if self._closed:
             return
         self._closed = True
@@ -337,6 +335,8 @@ class ShardRouter:
 
         ``priority`` scales the tenant's admission budget (limit ×
         (priority + 1)) when ``max_tenant_inflight`` is set.
+        ``name_token`` is accepted and unused (perfbench/launcher.py
+        passes it).
         """
         if self._closed:
             raise RuntimeError("router is closed")
@@ -357,14 +357,13 @@ class ShardRouter:
                 f"tenant {name!r} places on shard {sid}, which is down")
         config = ServiceConfig(dimension=dimension, tie_break=tie_break,
                                **self._defaults)
-        svc = RoutingService(config, faults=faults, name_token=name_token)
+        svc = RoutingService(config, faults=faults)
         await svc.__aenter__()
         shard.tenants[name] = svc
         self._placement[name] = sid
         self._journals[name] = TenantJournal(
-            dimension=dimension, tie_break=tie_break, name_token=name_token,
-            priority=priority, initial=faults if faults is not None
-            else FaultSet())
+            dimension=dimension, tie_break=tie_break, priority=priority,
+            initial=faults if faults is not None else FaultSet())
         return sid
 
     def shard_of(self, tenant: str) -> int:
@@ -476,11 +475,10 @@ class ShardRouter:
         """Classify a request failure by what happened to its shard.
 
         A request caught under a crash can surface the teardown's raw
-        debris (an unlinked shared-memory segment, a closed epoch
-        manager) instead of the structured abort — if the shard that
-        served it is no longer live, the honest answer is the same
-        retryable taxonomy, not the debris.  A failure on a healthy
-        shard is a real bug and propagates unchanged.
+        debris (a closed epoch manager) instead of the structured abort
+        — if the shard that served it is no longer live, the honest
+        answer is the same retryable taxonomy, not the debris.  A failure
+        on a healthy shard is a real bug and propagates unchanged.
         """
         if isinstance(exc, (ShardDownError, ShardRetryError)):
             return self._translate_down(tenant, exc)
@@ -576,7 +574,7 @@ class ShardRouter:
                 exc = ShardDownError(
                     f"shard {shard.shard_id} (tenant {name!r}) was killed")
             svc.batcher.abort(exc)
-            # Let in-flight flush tasks settle before the segments go.
+            # Let in-flight flush tasks settle before the service stops.
             await asyncio.sleep(0)
             svc.terminate()
 
@@ -647,11 +645,11 @@ class ShardRouter:
         Queued requests on the shard's batchers fail immediately
         (:class:`ShardDownError`, or the retryable
         :class:`ShardRetryError` when failover will follow); in-flight
-        kernel calls resolve (or fail) on their own, the shard's
-        shared-memory segments are unlinked, and its virtual nodes leave
-        the hash ring so new tenants place on survivors.  With
-        ``failover`` (default: the router's ``auto_failover``), tenants
-        are immediately re-placed via :meth:`fail_over_shard`.
+        kernel calls resolve (or fail) on their own, and the shard's
+        virtual nodes leave the hash ring so new tenants place on
+        survivors.  With ``failover`` (default: the router's
+        ``auto_failover``), tenants are immediately re-placed via
+        :meth:`fail_over_shard`.
         """
         do_failover = self.auto_failover if failover is None else failover
         downed = await self._confirm_down(shard_id, retryable=do_failover)
@@ -664,17 +662,16 @@ class ShardRouter:
     ) -> FailoverReport:
         """Migrate a dead shard's tenants to survivors, exactly.
 
-        For each tenant: place on the survivor ring, rebuild its service
-        from the journal's initial fault set, then replay every journaled
-        ``inject_faults`` delta through the fresh epoch manager — the
-        recovered epoch number and fault state match the lost shard's
-        bit-for-bit, and the warm-spare ring republishes the tables as
-        the replay runs.  The replay runs on the loop's thread and
-        yields after each delta, so other tenants are served meanwhile.
-        Runs once per shard: a concurrent or later
-        call returns the first call's report.  With no survivors the
-        report records the stranding (``moved`` empty) and tenants stay
-        down.
+        For each tenant: rebuild its service from the journal's initial
+        fault set, replay every journaled ``inject_faults`` delta through
+        the fresh epoch manager — the recovered epoch number and fault
+        state match the lost shard's bit-for-bit — then place it on the
+        survivor ring.  The replay runs on the loop's thread and yields
+        after each delta, so other tenants are served meanwhile; placing
+        only after it means a shard killed during the replay is never
+        chosen.  Runs once per shard: a concurrent or later call returns
+        the first call's report.  A tenant with no survivor left is
+        stranded: it stays down and is absent from ``moved``.
         """
         return await self._once(("failover", shard_id),
                                 lambda: self._fail_over(shard_id, detected))
@@ -686,28 +683,31 @@ class ShardRouter:
         names = sorted(shard.tenants)
         moved: Dict[str, int] = {}
         epochs_replayed = 0
-        if any(s.alive for s in self.shards.values()):
-            for name in names:
-                shard.tenants.pop(name)
-                journal = self._journals[name]
-                journal.generation += 1
+        for name in names:
+            if not any(s.alive for s in self.shards.values()):
+                break
+            journal = self._journals[name]
+            config = ServiceConfig(
+                dimension=journal.dimension, tie_break=journal.tie_break,
+                **self._defaults)
+            svc = RoutingService(config, faults=journal.initial)
+            await svc.__aenter__()
+            for add, remove in tuple(journal.deltas):
+                svc.epochs.apply_fault_event(add=add, remove=remove)
+                epochs_replayed += 1
+                # other tenants are served between deltas
+                await asyncio.sleep(0)
+            try:
                 new_sid = self._ring.place(name)
-                token = (f"{journal.name_token}_fo{journal.generation}"
-                         if journal.name_token else None)
-                config = ServiceConfig(
-                    dimension=journal.dimension, tie_break=journal.tie_break,
-                    **self._defaults)
-                svc = RoutingService(config, faults=journal.initial,
-                                     name_token=token)
-                await svc.__aenter__()
-                for add, remove in tuple(journal.deltas):
-                    svc.epochs.apply_fault_event(add=add, remove=remove)
-                    epochs_replayed += 1
-                    # other tenants are served between deltas
-                    await asyncio.sleep(0)
-                self.shards[new_sid].tenants[name] = svc
-                self._placement[name] = new_sid
-                moved[name] = new_sid
+            except LookupError:  # every survivor died during the replay
+                svc.terminate()
+                break
+            # no await from placing to registering: the shard is alive
+            journal.generation += 1
+            del shard.tenants[name]
+            self.shards[new_sid].tenants[name] = svc
+            self._placement[name] = new_sid
+            moved[name] = new_sid
         failover_ms = (time.perf_counter() - start) * 1e3
         report = FailoverReport(
             shard_id=shard_id, detected=detected, tenants=names,

@@ -79,6 +79,25 @@ class TestTracker:
         run = tracker.run()
         assert run.stale_ticks == 0
 
+    def test_periodic_refresh_pays_the_full_exchange(self, q4):
+        """Periodic exchanges are wasted when status stays stable (§2.2):
+        every due tick costs each healthy node a message per healthy
+        neighbor per round, quiet ticks included."""
+        schedule = self._schedule()
+        periodic = DynamicLevelTracker(q4, schedule, policy="periodic",
+                                       period=1).run()
+        on_change = DynamicLevelTracker(q4, schedule,
+                                        policy="state-change").run()
+        assert periodic.total_messages > on_change.total_messages
+        for tick in periodic.ticks[1:]:
+            faulty = len(schedule.at(tick.time).nodes)
+            # Q4 minus isolated faulty nodes: no two faults are adjacent
+            links = 4 * 16 - 2 * 4 * faulty
+            assert tick.gs_rounds >= 1
+            assert tick.gs_messages == tick.gs_rounds * links
+        quiet = [t for t in periodic.ticks[1:] if not t.fault_events]
+        assert quiet and all(t.gs_messages > 0 for t in quiet)
+
     def test_quiet_schedule_costs_nothing_extra(self, q4):
         tracker = DynamicLevelTracker(
             q4, FaultSchedule(base=FaultSet()), policy="state-change")

@@ -440,6 +440,43 @@ class TestReplayOnTheLoop:
                               ref.status.reshape(-1))
         assert np.array_equal(block.hops, ref.hops.reshape(-1))
 
+    def test_target_killed_mid_replay_does_not_strand_tenant(
+            self, monkeypatch):
+        """The shard a replaying tenant would land on dies between two
+        deltas: the tenant is placed on a shard that is still alive."""
+        home = HashRing(range(3)).place("blue")
+        target = HashRing([s for s in range(3) if s != home]).place("blue")
+
+        async def run():
+            async with ShardRouter(shards=3, window_us=100,
+                                   auto_failover=True) as router:
+                assert await router.add_tenant(
+                    "blue", dimension=5, faults=self.FAULTS) == home
+                for add, remove in self.DELTAS:
+                    await router.inject_faults("blue", add=add,
+                                               remove=remove)
+                replayed, kills = [], []
+
+                def on_event(_thread):
+                    replayed.append(1)
+                    if len(replayed) == 1:  # the replay's first delta
+                        kills.append(asyncio.ensure_future(
+                            router.kill_shard(target, failover=False)))
+
+                self._record_events(monkeypatch, on_event)
+                await router.kill_shard(home)
+                assert await kills[0] == []  # target held no tenant
+                resp = await router.route("blue", 1, 2)
+                return (router.failovers[-1], router.shard_of("blue"),
+                        router.shards[target].alive, resp)
+
+        report, placed, target_alive, resp = asyncio.run(run())
+        assert not target_alive
+        assert placed not in (home, target)
+        assert report.moved == {"blue": placed}
+        assert report.epochs_replayed == len(self.DELTAS)
+        assert resp.epoch == 1 + len(self.DELTAS)
+
 
 class TestAdmissionControl:
     def test_over_budget_requests_are_shed(self):

@@ -1,12 +1,12 @@
 """End-to-end routing service tests: identity, epochs, batching, cleanup.
 
 The load-bearing claim is **bit-identity**: a response from the service —
-through the batcher, the shared-memory table, and the kernel — equals
+through the batcher, the epoch's read-only table, and the kernel — equals
 the offline ``route_unicast_batch`` outcome for (epoch fault set, src,
 dst), for every epoch a churn run touches.  Around it: batching window
 and lane semantics (one kernel call in flight per batcher, queued work
 coalesced behind it), rejection of bad endpoints, ``repro stats``
-aggregation of the service telemetry, and segment hygiene at shutdown.
+and aggregation of the service telemetry.
 """
 
 import asyncio
@@ -26,9 +26,7 @@ from repro.routing.batch import (
 from repro.safety.levels import compute_safety_levels
 from repro.service import EpochManager, RoutingService, ServiceConfig
 from repro.service import service as service_mod
-from repro.service import workers
 from repro.service.service import REJECTED
-from repro.service.shm import segment_exists
 
 N = 5
 FAULTS = FaultSet(nodes=[0, 7, 21])
@@ -222,7 +220,7 @@ class _Kernel:
         self.during = None
         self._route = service_mod.route_task
 
-    def __call__(self, segment, epoch, n, srcs, dsts, tie_break):
+    def __call__(self, table, epoch, n, srcs, dsts, tie_break):
         call = len(self.rows)
         self.active += 1
         self.max_active = max(self.max_active, self.active)
@@ -232,7 +230,7 @@ class _Kernel:
         try:
             if self.during is not None:
                 self.during(call)
-            return self._route(segment, epoch, n, srcs, dsts, tie_break)
+            return self._route(table, epoch, n, srcs, dsts, tie_break)
         finally:
             self.active -= 1
 
@@ -324,7 +322,7 @@ class TestLane:
         async def run():
             config = ServiceConfig(dimension=N, window_us=60_000)
             async with RoutingService(config, faults=FAULTS) as svc:
-                await svc.route(1, 2)  # warm: the table is attached
+                await svc.route(1, 2)  # warm: the first kernel call is done
                 start = time.perf_counter()
                 block = await svc.route_block(srcs, dsts)
                 return block, time.perf_counter() - start
@@ -350,7 +348,7 @@ class TestLane:
                     if call == 0:
                         # the epoch moves on while the lane is busy: the
                         # running flush keeps epoch 1, the coalesced one
-                        # pins epoch 2
+                        # takes epoch 2
                         svc.epochs.apply_fault_event(add=[victim])
                         tail.extend(_queue(svc, queued))
 
@@ -514,34 +512,3 @@ class TestTelemetry:
         assert "service:" in rendered
         assert "micro-batches" in rendered
 
-
-class TestShutdownHygiene:
-    def test_close_unlinks_every_segment(self):
-        names = []
-
-        async def run():
-            config = ServiceConfig(dimension=N, window_us=100)
-            async with RoutingService(config, faults=FAULTS) as svc:
-                await svc.route(1, 2)
-                await svc.inject_faults(add=[12])
-                await svc.route(1, 2)
-                names.extend(svc.epochs.live_segments().values())
-                assert all(segment_exists(v) for v in names)
-
-        asyncio.run(run())
-        assert names
-        assert not any(segment_exists(v) for v in names)
-
-    def test_close_drops_only_its_own_attachments(self):
-        async def run():
-            config = ServiceConfig(dimension=N, window_us=100)
-            async with RoutingService(config, faults=FAULTS) as other:
-                await other.route(1, 2)
-                table = workers._TABLES[other.epochs.current.segment]
-                async with RoutingService(config, faults=FAULTS) as svc:
-                    await svc.route(1, 2)
-                # the other service's attachment is still cached, open
-                return (workers._TABLES[other.epochs.current.segment]
-                        is table, table._shm is not None)
-
-        assert asyncio.run(run()) == (True, True)

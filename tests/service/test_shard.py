@@ -1,10 +1,16 @@
 """ShardRouter: placement, multi-tenant isolation, and failure domains."""
 
 import asyncio
+import glob
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import FaultSet, Hypercube
 from repro.routing.batch import route_unicast_batch
 from repro.safety.levels import compute_safety_levels
@@ -168,21 +174,36 @@ class TestFailureDomains:
 
         asyncio.run(run())
 
-    def test_kill_shard_unlinks_segments_and_close_is_clean(self):
-        import glob
+    def test_kill_and_failover_leave_no_shared_memory(self):
+        """Epoch tables are in-process arrays: a fault event, a kill and
+        a failover create no shared-memory segment, and the service
+        package does not load the shared-memory module."""
+        before = set(glob.glob("/dev/shm/repro_svc_*"))
 
         async def run():
-            async with ShardRouter(shards=2, window_us=100) as router:
+            async with ShardRouter(shards=2, window_us=100,
+                                   auto_failover=True) as router:
                 sid = await router.add_tenant(
                     "blue", dimension=5, name_token="shardtest_blue")
                 await router.add_tenant(
                     "green", dimension=5, name_token="shardtest_green")
-                assert glob.glob("/dev/shm/repro_svc_shardtest_blue*")
+                await router.inject_faults("blue", add=[3])
                 await router.kill_shard(sid)
-                assert not glob.glob("/dev/shm/repro_svc_shardtest_blue*")
-            assert not glob.glob("/dev/shm/repro_svc_shardtest_*")
+                assert router.shard_of("blue") != sid
+                resp = await router.route("blue", 1, 2)
+                assert resp.epoch == 2 and resp.delivered
+                assert (await router.route("green", 1, 2)).delivered
 
         asyncio.run(run())
+        assert set(glob.glob("/dev/shm/repro_svc_*")) <= before
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.service; "
+             "print('multiprocessing.shared_memory' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "False"
 
     def test_dead_shard_leaves_the_ring_so_new_tenants_avoid_it(self):
         """Regression: kill_shard used to leave the dead shard's vnodes

@@ -1,23 +1,21 @@
-"""Shared-memory epoch table lifecycle: publish, attach, bump, unlink.
+"""Epoch tables: seal, check at the kernel, bump.
 
-The guarantees under test are the service's consistency substrate:
+Each fault epoch's level table is a pair of read-only in-process arrays
+(:func:`repro.service.epoch.seal_epoch_table`).  The guarantees under
+test are the service's consistency substrate:
 
-* a sealed segment round-trips bit-identically (levels, packed words,
-  metadata) and attaches read-only;
-* unsealed / corrupted / wrong-epoch segments are rejected as
-  :class:`TornTableError` — a reader can never observe a torn or
-  mixed-epoch table;
-* epoch bumps retire old segments only after their pin count drains, and
-  teardown (explicit close, process exit, SIGTERM) leaks nothing.
+* a sealed table holds a private copy of the levels, its packed
+  neighbor words, and nothing a reader can write;
+* the kernel-side check (:func:`repro.service.attach_epoch_table`)
+  refuses a table of another epoch or dimension as
+  :class:`TornTableError` — a kernel call never routes on the wrong
+  table;
+* a fault event publishes a new table and leaves every earlier one as
+  it was, alive exactly as long as something refers to it.
 """
 
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-from multiprocessing import shared_memory
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,227 +24,113 @@ from repro.core import FaultSet, Hypercube
 from repro.routing.batch import pack_neighbor_levels
 from repro.safety.levels import compute_safety_levels
 from repro.service import EpochManager, TornTableError, attach_epoch_table
-from repro.service.shm import (
-    _untracked,
-    publish_epoch_table,
-    segment_exists,
-    unlink_segment,
-)
+from repro.service.epoch import seal_epoch_table
+
+FAULTS = FaultSet(nodes=[0, 5])
 
 
-def _table(n=4, fault_nodes=(0, 5)):
-    topo = Hypercube(n)
-    levels = compute_safety_levels(topo, FaultSet(nodes=fault_nodes))
-    packed = pack_neighbor_levels(levels, n)
-    return topo, np.asarray(levels, dtype=np.int8), packed
+def _levels(n=4, faults=FAULTS):
+    return np.asarray(compute_safety_levels(Hypercube(n), faults),
+                      dtype=np.int8)
 
 
 class TestPublishAttach:
     def test_round_trip_is_bit_identical(self):
-        _topo, levels, packed = _table()
-        name = f"repro_test_{os.getpid()}_rt"
-        shm = publish_epoch_table(name, epoch=3, n=4, levels=levels,
-                                  packed=packed, faults=2)
-        try:
-            table = attach_epoch_table(name, expect_epoch=3)
-            assert table.epoch == 3
-            assert table.n == 4
-            assert table.faults == 2
-            assert np.array_equal(table.levels, levels)
-            assert np.array_equal(table.packed, packed)
-            table.close()
-        finally:
-            shm.close()
-            unlink_segment(shm)
+        levels = _levels()
+        view = seal_epoch_table(3, 4, levels, FAULTS)
+        assert (view.epoch, view.n, view.faults) == (3, 4, FAULTS)
+        got_levels, got_packed = attach_epoch_table(view, 3, 4)
+        assert np.array_equal(got_levels, levels)
+        assert np.array_equal(got_packed, pack_neighbor_levels(levels, 4))
+        # a private copy: the caller's array may change afterwards
+        levels[1] = 0
+        assert got_levels[1] != 0
 
     def test_attached_views_are_read_only(self):
-        _topo, levels, packed = _table()
-        name = f"repro_test_{os.getpid()}_ro"
-        shm = publish_epoch_table(name, 1, 4, levels, packed, faults=2)
-        try:
-            table = attach_epoch_table(name)
-            with pytest.raises((ValueError, RuntimeError)):
-                table.levels[0] = 9
-            with pytest.raises((ValueError, RuntimeError)):
-                table.packed[0] = 9
-            table.close()
-        finally:
-            shm.close()
-            unlink_segment(shm)
+        view = seal_epoch_table(1, 4, _levels(), FAULTS)
+        levels, packed = attach_epoch_table(view, 1, 4)
+        with pytest.raises(ValueError):
+            levels[0] = 9
+        with pytest.raises(ValueError):
+            packed[0] = 9
 
     def test_packed_none_round_trips_as_none(self):
-        # n > 15 epochs publish without packed words; readers must see
-        # packed=None, not a bogus all-zero table
-        _topo, levels, _packed = _table()
-        name = f"repro_test_{os.getpid()}_np"
-        shm = publish_epoch_table(name, 1, 4, levels, packed=None, faults=2)
-        try:
-            table = attach_epoch_table(name)
-            assert table.packed is None
-            assert np.array_equal(table.levels, levels)
-            table.close()
-        finally:
-            shm.close()
-            unlink_segment(shm)
+        # past Q15 the neighbor nibbles do not fit a word: the table has
+        # no packed words and the kernel falls back to gathers
+        n = 16
+        levels = np.full(1 << n, n, dtype=np.int8)
+        view = seal_epoch_table(1, n, levels, FaultSet())
+        got_levels, got_packed = attach_epoch_table(view, 1, n)
+        assert got_packed is None
+        assert np.array_equal(got_levels, levels)
+        assert not got_levels.flags.writeable
 
     def test_epoch_zero_is_rejected_at_publish(self):
-        _topo, levels, packed = _table()
         with pytest.raises(ValueError, match="epochs start at 1"):
-            publish_epoch_table("repro_test_bad", 0, 4, levels, packed,
-                                faults=2)
+            seal_epoch_table(0, 4, _levels(), FAULTS)
 
 
 class TestTornDetection:
-    def test_unsealed_segment_is_torn(self):
-        # raw zeroed segment = what an attacher sees mid-publish, before
-        # the tags are written
-        name = f"repro_test_{os.getpid()}_unsealed"
-        with _untracked():
-            shm = shared_memory.SharedMemory(name=name, create=True,
-                                             size=4096)
-        try:
-            with pytest.raises(TornTableError, match="never sealed"):
-                attach_epoch_table(name, retries=3, retry_sleep_s=0.001)
-        finally:
-            shm.close()
-            unlink_segment(shm)
-
     def test_wrong_epoch_fails_fast(self):
-        _topo, levels, packed = _table()
-        name = f"repro_test_{os.getpid()}_we"
-        shm = publish_epoch_table(name, 2, 4, levels, packed, faults=2)
-        try:
-            start = time.perf_counter()
-            with pytest.raises(TornTableError, match="carries epoch 2"):
-                attach_epoch_table(name, expect_epoch=5, retries=500,
-                                   retry_sleep_s=0.01)
-            # wrong epoch must not burn the retry budget — waiting cannot
-            # turn the wrong table into the right one
-            assert time.perf_counter() - start < 1.0
-        finally:
-            shm.close()
-            unlink_segment(shm)
-
-    def test_body_corruption_fails_checksum(self):
-        _topo, levels, packed = _table()
-        name = f"repro_test_{os.getpid()}_cc"
-        shm = publish_epoch_table(name, 1, 4, levels, packed, faults=2)
-        try:
-            with _untracked():
-                raw = shared_memory.SharedMemory(name=name)
-            body = np.frombuffer(raw.buf, dtype=np.int8, count=16, offset=40)
-            body[3] += 1  # flip one level byte; header checksum is stale now
-            del body
-            raw.close()
-            with pytest.raises(TornTableError, match="checksum"):
-                attach_epoch_table(name)
-        finally:
-            shm.close()
-            unlink_segment(shm)
+        view = seal_epoch_table(2, 4, _levels(), FAULTS)
+        with pytest.raises(TornTableError, match="have epoch 2"):
+            attach_epoch_table(view, 5, 4)
+        with pytest.raises(TornTableError, match="n=4"):
+            attach_epoch_table(view, 2, 5)
 
 
 class TestEpochManagerLifecycle:
     def test_bump_retires_and_recycles_old_epoch(self):
-        topo = Hypercube(4)
-        with EpochManager(topo, FaultSet(nodes=[0])) as mgr:
-            e1_name = mgr.segment_name(1)
-            assert segment_exists(e1_name)
-            spares_before = mgr.spare_count()
+        """Retired: the manager serves the new epoch.  Recycled: the old
+        table is freed once nothing refers to it — the manager keeps no
+        reference of its own."""
+        with EpochManager(Hypercube(4), FaultSet(nodes=[0])) as mgr:
+            old = weakref.ref(mgr.current.levels)
             swap = mgr.apply_fault_event(add=[9])
-            assert swap.epoch == 2
+            assert swap.epoch == 2 and swap.spare
             assert mgr.current.epoch == 2
-            # no pins: the old segment returns to the warm-spare ring at
-            # the swap — unsealed (attach rejects it), not unlinked
-            assert 1 not in mgr.live_segments()
-            with pytest.raises(KeyError):
-                mgr.segment_name(1)
-            assert mgr.spare_count() == spares_before
-            assert segment_exists(e1_name)
-            with pytest.raises(TornTableError, match="never sealed"):
-                attach_epoch_table(e1_name, retries=2, retry_sleep_s=0.001)
-            e2_name = mgr.segment_name(2)
-            assert segment_exists(e2_name)
-        # close unlinks serving epoch AND ring spares
-        assert not segment_exists(e1_name)
-        assert not segment_exists(e2_name)
+            gc.collect()
+            assert old() is None
 
-    def test_pinned_epoch_survives_bump_until_unpin(self):
-        topo = Hypercube(4)
-        with EpochManager(topo, FaultSet(nodes=[0])) as mgr:
-            view = mgr.acquire()          # an in-flight batch holds e1
+    def test_held_view_survives_bump(self):
+        """A flush that took epoch 1's view keeps routing on it after a
+        fault event publishes epoch 2."""
+        with EpochManager(Hypercube(4), FaultSet(nodes=[0])) as mgr:
+            held = mgr.current
+            before = held.levels.copy()
             mgr.apply_fault_event(add=[9])
-            e1_name = mgr.segment_name(1)
-            assert segment_exists(e1_name)
-            # the pinned epoch's table is still attachable and consistent
-            table = attach_epoch_table(e1_name, expect_epoch=1)
-            assert np.array_equal(table.levels, view.levels)
-            table.close()
-            spares_before = mgr.spare_count()
-            mgr.unpin(view.epoch)         # batch completes -> recycle
-            assert 1 not in mgr.live_segments()
-            assert mgr.spare_count() == spares_before + 1
+            assert held.epoch == 1
+            assert np.array_equal(held.levels, before)
+            levels, _packed = attach_epoch_table(held, 1, 4)
+            assert levels is held.levels
+            with pytest.raises(TornTableError):
+                attach_epoch_table(mgr.current, 1, 4)
 
     def test_no_mixed_epoch_reads_across_bump(self):
-        # every attach observes exactly one epoch's sealed content: the
-        # levels it returns must match the publisher's copy for that tag,
-        # never a blend of adjacent epochs
+        # every epoch's table matches the fixed point of that epoch's
+        # fault set, never a blend of adjacent epochs
         topo = Hypercube(4)
         with EpochManager(topo, FaultSet(nodes=[0])) as mgr:
-            published = {1: mgr.current.levels.copy()}
+            views = [mgr.current]
             for victim in (3, 9, 12):
                 swap = mgr.apply_fault_event(add=[victim])
-                published[swap.epoch] = mgr.current.levels.copy()
-                table = attach_epoch_table(mgr.segment_name(swap.epoch),
-                                           expect_epoch=swap.epoch)
-                assert table.epoch == swap.epoch
-                assert np.array_equal(table.levels, published[swap.epoch])
-                assert not np.array_equal(table.levels,
-                                          published[swap.epoch - 1])
-                table.close()
+                views.append(mgr.current)
+                assert views[-1].epoch == swap.epoch
+            for view in views:
+                levels, packed = attach_epoch_table(view, view.epoch, 4)
+                want = _levels(faults=view.faults)
+                assert np.array_equal(levels, want)
+                assert np.array_equal(packed, pack_neighbor_levels(want, 4))
+            for prev, view in zip(views, views[1:]):
+                assert not np.array_equal(prev.levels, view.levels)
 
-    def test_close_unlinks_everything_even_with_pins(self):
-        topo = Hypercube(4)
-        mgr = EpochManager(topo, FaultSet(nodes=[0]))
-        mgr.acquire()
+    def test_close_refuses_events_and_keeps_views_readable(self):
+        mgr = EpochManager(Hypercube(4), FaultSet(nodes=[0]))
         mgr.apply_fault_event(add=[9])
-        names = list(mgr.live_segments().values())
-        assert names and all(segment_exists(v) for v in names)
+        view = mgr.current
         mgr.close()
-        assert not any(segment_exists(v) for v in names)
+        with pytest.raises(RuntimeError, match="closed"):
+            mgr.apply_fault_event(add=[3])
+        assert mgr.current is view
+        assert attach_epoch_table(view, 2, 4)[0] is view.levels
         mgr.close()  # idempotent
-
-    def test_sigterm_leaves_no_segments(self, tmp_path):
-        """A SIGTERM'd service process unlinks its segments on the way out."""
-        token = f"sigterm{os.getpid()}"
-        script = textwrap.dedent(f"""
-            import signal, sys
-            from repro.core import FaultSet, Hypercube
-            from repro.service import EpochManager
-
-            signal.signal(signal.SIGTERM, lambda *a: sys.exit(0))
-            mgr = EpochManager(Hypercube(4), FaultSet(nodes=[0]),
-                               name_token={token!r})
-            mgr.apply_fault_event(add=[9])
-            print(mgr.segment_name(mgr.current.epoch), flush=True)
-            signal.pause()
-        """)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(p) for p in sys.path if p] )
-        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
-                                stdout=subprocess.PIPE, text=True)
-        try:
-            live = proc.stdout.readline().strip()
-            assert live.startswith(f"repro_svc_{token}_")
-            assert segment_exists(live)
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
-            assert proc.returncode == 0
-            assert not segment_exists(live)
-            # ring spares and recycled segments share the token prefix;
-            # none may survive either
-            for k in range(8):
-                assert not segment_exists(f"repro_svc_{token}_r{k}")
-        finally:
-            if proc.poll() is None:
-                proc.kill()

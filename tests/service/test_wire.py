@@ -393,12 +393,12 @@ class TestOneLoop:
                         assert op == wire.OP_TENANT_R
                         conns[name] = reader, writer
 
-                    def kernel(segment, epoch, n, srcs, dsts, tie_break):
+                    def kernel(table, epoch, n, srcs, dsts, tie_break):
                         calls.append(epoch)
                         if len(calls) == 1:  # the block's first slice
                             conns["green"][1].write(
                                 wire.encode_frame(wire.OP_EPOCH, 2))
-                        return route(segment, epoch, n, srcs, dsts,
+                        return route(table, epoch, n, srcs, dsts,
                                      tie_break)
 
                     monkeypatch.setattr(service_mod, "route_task", kernel)
@@ -424,7 +424,7 @@ class TestOneLoop:
         # the EPOCH reply arrived first, while the block was mid-route
         assert [name for name, _ in order] == ["green", "blue"]
         assert order[0][1] < slices and order[1][1] == slices
-        # every slice routed on the one epoch the block pinned
+        # every slice routed on the one epoch the block took
         assert calls == [1] * slices
         reply = wire.decode_block_reply(block_payload)
         assert reply.epoch == 1
