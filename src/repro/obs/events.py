@@ -120,8 +120,9 @@ EVENT_TYPES: Dict[str, Dict[str, bool]] = {
         "backend": True,       # always "inline" (on the event loop)
         "queue_us": True,      # oldest request's wait in the batch window
         "exec_us": True,       # kernel + demux wall time
-        "entries": False,      # batcher entries aggregated (block
-                               # submissions carry many routes per entry)
+        "entries": False,      # batcher entries aggregated (an entry
+                               # carries one route or many); always
+                               # emitted, optional for older streams
     },
     # One fault epoch swap: the epoch manager re-stabilized the level
     # table (incrementally) and sealed a fresh read-only table.

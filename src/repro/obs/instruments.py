@@ -344,7 +344,7 @@ def record_service_batch(
     rejected: int,
     queue_us: int,
     exec_us: int,
-    entries: Optional[int] = None,
+    entries: int,
 ) -> None:
     """One micro-batch flushed by the routing service.
 
@@ -354,8 +354,8 @@ def record_service_batch(
     batching window, ``exec_us`` the kernel-plus-demux wall time; the two
     histograms are what make the size/deadline window tunable from
     ``repro stats`` output instead of guesswork.  ``entries`` counts the
-    batcher entries the flush aggregated (block submissions carry many
-    routes per entry; omitted when every entry is a single pair).
+    batcher entries the flush aggregated (an entry is one submission,
+    of one row or many).
     """
     reg, rec = _METRICS, _RECORDER
     if not reg.enabled and rec is None:
@@ -369,7 +369,8 @@ def record_service_batch(
         reg.histogram("service.queue_us").observe(queue_us)
         reg.histogram("service.exec_us").observe(exec_us)
     if rec is not None:
-        payload = dict(
+        rec.emit(
+            "service_batch",
             n=n,
             epoch=epoch,
             routes=routes,
@@ -377,10 +378,8 @@ def record_service_batch(
             backend="inline",  # required by the v1 schema; on the loop
             queue_us=queue_us,
             exec_us=exec_us,
+            entries=entries,
         )
-        if entries is not None:
-            payload["entries"] = entries
-        rec.emit("service_batch", **payload)
 
 
 def record_block_submission(pairs: int) -> None:

@@ -65,8 +65,8 @@ class RunStats:
     service_rejected: int = 0
     #: batcher *entries* folded into those batches — a block submission
     #: is one entry covering many rows, so entries < requests measures
-    #: how much the wire's BLOCK op amortized (omitted in the event when
-    #: every entry was a single, i.e. entries == requests).
+    #: how much the wire's BLOCK op amortized (streams that predate the
+    #: field count one entry per request).
     service_entries: int = 0
     service_backends: Dict[str, int] = field(default_factory=dict)
     service_queue_us_sum: int = 0

@@ -11,26 +11,28 @@ flush through one **lane** and aggregating whatever queues behind it:
   entry, up to ``max_batch`` *rows*, as the next flush — *one* kernel
   call per ``max_batch`` rows — so a busy tenant's calls grow instead
   of multiplying;
-* a **single** opens a ``window_us`` deadline clock, and further
-  singles join it until the deadline fires or ``max_batch`` rows are
-  waiting — whichever comes first closes the window, and its entries go
-  out as soon as the lane is free;
-* a **block** skips the window: it has already paid for its own call,
-  and the window exists only to gather singles.
+* a **one-row** entry opens a ``window_us`` deadline clock, and further
+  one-row entries join it until the deadline fires or ``max_batch`` rows
+  are waiting — whichever comes first closes the window, and its entries
+  go out as soon as the lane is free;
+* an entry of two or more rows skips the window: it has already paid
+  for its own call, and the window exists only to gather lone pairs.
 
-Entries come in two shapes.  A **single** is one ``(src, dst)`` pair —
-the interactive path.  A **block** is a whole vector of pairs submitted
-as one entry with one future (:meth:`submit_block`) — the wire path's
-unit, which is what lets a pipelined client push thousands of routes
-through the event loop while paying per-*entry* (not per-route) asyncio
-overhead.  The accounting is row-based: a block counts as its row
-count, and entries are never split across flushes — a block's response
-always comes from exactly one flush against exactly one epoch.
+Every entry has one shape: a run of ``(src, dst)`` rows with one future.
+:meth:`submit` queues a run of one pair (the interactive path),
+:meth:`submit_block` a whole vector (the wire path's unit, which is what
+lets a pipelined client push thousands of routes through the event loop
+while paying per-*entry*, not per-route, asyncio overhead).  An entry's
+columns become int64 vectors at intake — the conversion is also the
+check that every endpoint fits a row — and a flush concatenates them.
+The accounting is row-based: an entry counts as its row count, and
+entries are never split across flushes — an entry's response always
+comes from exactly one flush against exactly one epoch.
 
 Backpressure is a bounded row gate: at most :data:`MAX_PENDING_ROWS`
 rows may be in flight (queued or executing); ``submit``/``submit_block`` await
 admission, so an overloaded service makes producers wait rather than
-growing an unbounded queue.  A block larger than the whole gate is
+growing an unbounded queue.  An entry larger than the whole gate is
 admitted at full-gate cost instead of deadlocking.  Requests are never
 dropped — every admitted entry is resolved with a response or an
 exception, including during shutdown (:meth:`drain` flushes stragglers
@@ -44,12 +46,12 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Deque, List, Optional
+from typing import Awaitable, Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["PendingRequest", "PendingBlock", "MicroBatcher",
-           "MAX_PENDING_ROWS", "check_endpoints"]
+__all__ = ["PendingEntry", "MicroBatcher", "MAX_PENDING_ROWS",
+           "check_endpoints"]
 
 #: Rows admitted (queued or executing) per batcher before submitters wait.
 MAX_PENDING_ROWS = 32_768
@@ -69,28 +71,24 @@ def check_endpoints(src: int, dst: int) -> None:
             raise ValueError(f"node {node} does not fit a 64-bit row")
 
 
-@dataclass
-class PendingRequest:
-    """One admitted single-pair request waiting for (or in) a flush."""
-
-    src: int
-    dst: int
-    enqueued_ns: int
-    future: "asyncio.Future" = field(repr=False, default=None)
-
-    @property
-    def rows(self) -> int:
-        return 1
+def _as_rows(values: Sequence[int]) -> np.ndarray:
+    """One column of an entry as an int64 vector.  A value outside int64
+    is refused as :func:`check_endpoints` refuses it."""
+    try:
+        return np.asarray(values, dtype=np.int64).ravel()
+    except OverflowError:
+        check_endpoints(min(values), max(values))
+        raise
 
 
 @dataclass
-class PendingBlock:
-    """One admitted block of pairs: many rows, one entry, one future."""
+class PendingEntry:
+    """One admitted run of ``(src, dst)`` rows: one entry, one future."""
 
     srcs: np.ndarray
     dsts: np.ndarray
     enqueued_ns: int
-    future: "asyncio.Future" = field(repr=False, default=None)
+    future: "asyncio.Future" = field(repr=False)
 
     @property
     def rows(self) -> int:
@@ -98,7 +96,7 @@ class PendingBlock:
 
 
 #: A flush callback: takes the batch entries, resolves every future.
-FlushFn = Callable[[List[object]], Awaitable[None]]
+FlushFn = Callable[[List[PendingEntry]], Awaitable[None]]
 
 
 class _RowGate:
@@ -166,9 +164,8 @@ class MicroBatcher:
             raise ValueError(f"window_us must be >= 0, got {window_us}")
         self.max_batch = max_batch
         self.window_us = window_us
-        self._queue: List[object] = []
+        self._queue: List[PendingEntry] = []
         self._queued_rows = 0
-        self._queued_blocks = 0
         self._gate = _RowGate(MAX_PENDING_ROWS)
         #: Set when the lane frees, the window should close early, or
         #: the batcher closes; the collector waits on it.
@@ -201,20 +198,31 @@ class MicroBatcher:
 
     # -- intake --------------------------------------------------------------
 
-    async def _enqueue(self, entry, rows: int) -> object:
+    async def _enqueue(self, srcs: Sequence[int],
+                       dsts: Sequence[int]) -> object:
+        """Check, admit and queue one entry; await its response."""
+        if self._closed:
+            raise self._refusal()
+        srcs, dsts = _as_rows(srcs), _as_rows(dsts)
+        rows = len(srcs)
+        if rows != len(dsts):
+            raise ValueError(
+                f"block vectors differ: {rows} sources, "
+                f"{len(dsts)} destinations")
+        if not rows:
+            raise ValueError("empty block")
         debt = await self._gate.acquire(rows)
         if self._closed:  # closed while waiting for admission
             self._gate.release(debt)
             raise self._refusal()
         loop = asyncio.get_running_loop()
-        entry.future = loop.create_future()
+        entry = PendingEntry(srcs, dsts, time.perf_counter_ns(),
+                             loop.create_future())
         self._queue.append(entry)
         self._queued_rows += rows
-        block = isinstance(entry, PendingBlock)
-        self._queued_blocks += block
         if self._collector is None or self._collector.done():
             self._collector = loop.create_task(self._collect())
-        elif block or self._queued_rows >= self.max_batch:
+        elif rows > 1 or self._queued_rows >= self.max_batch:
             self._wakeup.set()  # close the open window now
         try:
             return await entry.future
@@ -222,71 +230,46 @@ class MicroBatcher:
             self._gate.release(debt)
 
     async def submit(self, src: int, dst: int) -> object:
-        """Admit one request and await its response.
+        """Admit one pair as a one-row entry and await its response.
 
         Raises :class:`ValueError` for an endpoint outside int64, and
         :class:`RuntimeError` after :meth:`drain` (or the abort cause
         after :meth:`abort`) — a closed batcher admits nothing, it only
         finishes what it already holds.
         """
-        if self._closed:
-            raise self._refusal()
-        src, dst = int(src), int(dst)
-        check_endpoints(src, dst)
-        return await self._enqueue(
-            PendingRequest(src=src, dst=dst,
-                           enqueued_ns=time.perf_counter_ns()),
-            rows=1,
-        )
+        return await self._enqueue((src,), (dst,))
 
-    async def submit_block(self, srcs: np.ndarray, dsts: np.ndarray) -> object:
+    async def submit_block(self, srcs: Sequence[int],
+                           dsts: Sequence[int]) -> object:
         """Admit a whole vector of pairs as one entry; await one response.
 
-        ``srcs``/``dsts`` must be equal-length 1-D vectors; empty blocks
-        are rejected (nothing to route, and a zero-row entry would admit
-        for free).  The flush resolves the block's single future with a
-        block-shaped response covering every row.
+        ``srcs``/``dsts`` must be equal-length vectors (lists or numpy
+        arrays); empty blocks are rejected (nothing to route, and a
+        zero-row entry would admit for free).  Raises like :meth:`submit`.
         """
-        if self._closed:
-            raise self._refusal()
-        # ravel() returns a contiguous vector, copying only when it must
-        srcs = np.asarray(srcs, dtype=np.int64).ravel()
-        dsts = np.asarray(dsts, dtype=np.int64).ravel()
-        if len(srcs) != len(dsts):
-            raise ValueError(
-                f"block vectors differ: {len(srcs)} sources, "
-                f"{len(dsts)} destinations"
-            )
-        if len(srcs) == 0:
-            raise ValueError("empty block")
-        return await self._enqueue(
-            PendingBlock(srcs=srcs, dsts=dsts,
-                         enqueued_ns=time.perf_counter_ns()),
-            rows=len(srcs),
-        )
+        return await self._enqueue(srcs, dsts)
 
     # -- the lane ------------------------------------------------------------
 
-    def _take_batch(self) -> List[object]:
+    def _take_batch(self) -> List[PendingEntry]:
         """Pop entries for one flush: greedy by rows, entries never split."""
         rows = 0
-        blocks = 0
         count = 0
         for entry in self._queue:
             if count and rows >= self.max_batch:
                 break
             rows += entry.rows
-            blocks += isinstance(entry, PendingBlock)
             count += 1
         batch, self._queue = self._queue[:count], self._queue[count:]
         self._queued_rows -= rows
-        self._queued_blocks -= blocks
         return batch
 
     def _holds_window(self) -> bool:
-        """True while only singles are queued, below ``max_batch`` rows."""
+        """True while every queued entry is one row, below ``max_batch``
+        rows (each entry holds at least one row, so the counts match only
+        then)."""
         return (self.window_us > 0 and not self._closed
-                and not self._queued_blocks
+                and self._queued_rows == len(self._queue)
                 and self._queued_rows < self.max_batch)
 
     async def _collect(self) -> None:
@@ -294,10 +277,10 @@ class MicroBatcher:
 
         A collector starts with the first entry queued after the last one
         emptied the queue, so the window's deadline measures from that
-        entry.  Singles hold their window even behind a busy lane (the
-        lane freeing does not close it); after that, each time the lane
-        frees, the collector sends everything queued (up to ``max_batch``
-        rows) as one flush.
+        entry.  One-row entries hold their window even behind a busy lane
+        (the lane freeing does not close it); after that, each time the
+        lane frees, the collector sends everything queued (up to
+        ``max_batch`` rows) as one flush.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.window_us / 1e6
@@ -317,7 +300,7 @@ class MicroBatcher:
                 continue
             self._lane = loop.create_task(self._run_flush(self._take_batch()))
 
-    async def _run_flush(self, batch: List[object]) -> None:
+    async def _run_flush(self, batch: List[PendingEntry]) -> None:
         self.flushes += 1
         try:
             await self._flush(batch)
@@ -363,7 +346,6 @@ class MicroBatcher:
         self._gate.wake_all()
         queue, self._queue = self._queue, []
         self._queued_rows = 0
-        self._queued_blocks = 0
         for entry in queue:
-            if entry.future is not None and not entry.future.done():
+            if not entry.future.done():
                 entry.future.set_exception(exc)

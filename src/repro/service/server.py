@@ -14,7 +14,7 @@ Each connection's protocol is auto-detected from its **first byte**:
   to the router as one block — one batcher entry, one epoch — whose
   replies leave in one write; admission still weighs each frame alone,
   so the frames past a tenant's budget are shed one by one.  A run of
-  one frame goes as a single, so lone frames from many connections
+  one frame is a one-row entry, so lone frames from many connections
   still meet in the batcher's window.  Every other frame is dispatched
   as its own task, so a pipelined client's blocks and runs land in the
   micro-batcher *concurrently*.
@@ -38,7 +38,8 @@ Both protocols are codecs over one executor, :func:`_execute`: a binary
 frame decodes to ``(op, args)`` with :mod:`~repro.service.wire`, a line
 parses to the same ``(op, args)``, and each renders the executor's
 result in its own format.  A run of ROUTE frames is the one exception:
-it goes to ``route`` or ``route_block`` and is rendered per frame.
+it goes to ``route_block`` and is rendered per frame from the block's
+reply rows.
 Errors go through one table too, :func:`_error_of`: malformed input, an
 unknown op, an unknown tenant, or a dispatch failure is answered with an
 error frame (binary) or an ``{"error": ..., "code": ...}`` line (text)
@@ -55,26 +56,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-from itertools import repeat
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from . import wire
 from ..obs.instruments import record_wire_frame
-from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
 from .batcher import check_endpoints
-from .service import REJECTED, REJECTED_CODE
 from .shard import OverloadError, ShardDownError, ShardRetryError, \
     ShardRouter, TenantMovedError, UnknownTenantError
 
 __all__ = ["serve_forever", "handle_connection"]
-
-#: Response string -> wire code (a lone ROUTE frame is answered from its
-#: ServiceResponse; a longer run ships the block's codes straight through).
-_STATUS_CODE = {s.value: i for i, s in enumerate(_STATUS_BY_CODE)}
-_STATUS_CODE[REJECTED] = REJECTED_CODE
-_CONDITION_CODE = {c.value: i for i, c in enumerate(_CONDITION_BY_CODE)}
 
 #: Exceptions that carry their own wire ``code``.
 _CODED = (wire.WireError, UnknownTenantError, TenantMovedError,
@@ -194,28 +184,6 @@ async def _run_frame(
     await _send(writer, write_lock, wire.encode_frame(reply_op, req_id, reply))
 
 
-async def _route_run(router: ShardRouter, tenant: str, srcs: List[int],
-                     dsts: List[int]) -> list:
-    """Route a run's pairs; returns one reply row ``(epoch, status,
-    condition, hops, hamming)`` per admitted frame, in frame order.
-
-    A lone frame goes as a single, so it waits in the batcher's window
-    with other connections' lone frames: a one-row block would skip that
-    window and cost more per row than the single it replaces.  A longer
-    run goes as one block whose rows admission weighs one by one.
-    """
-    if len(srcs) == 1:
-        resp = await router.route(tenant, srcs[0], dsts[0])
-        return [(resp.epoch, _STATUS_CODE[resp.status],
-                 _CONDITION_CODE[resp.condition], resp.hops, resp.hamming)]
-    block = await router.route_block(
-        tenant, np.array(srcs, dtype=np.int64),
-        np.array(dsts, dtype=np.int64), singles=True)
-    return list(zip(repeat(block.epoch), block.status.tolist(),
-                    block.condition.tolist(), block.hops.tolist(),
-                    block.hamming.tolist()))
-
-
 async def _answer_run(
     router: ShardRouter,
     session: dict,
@@ -253,7 +221,9 @@ async def _answer_run(
         refusal = None
         try:
             tenant = _tenant(session)
-            rows = await _route_run(router, tenant, srcs, dsts)
+            block = await router.route_block(tenant, srcs, dsts,
+                                             singles=True)
+            rows = block.replies()
         except Exception as exc:  # dispatch must never kill the session
             rows, refusal = [], exc
         out += [wire.encode_frame(wire.OP_ROUTE_R, req_id,

@@ -7,9 +7,12 @@
   *incrementally* on fault events, and swapped by one reference flip
   between flushes;
 * a :class:`~repro.service.batcher.MicroBatcher` aggregating concurrent
-  ``route()`` calls — and whole :meth:`route_block` vectors — into
-  single batched-kernel executions, one in flight at a time, with what
-  queues behind it coalesced into the next;
+  ``route()`` calls and whole :meth:`route_block` vectors — each one
+  entry of rows — into single batched-kernel executions, one in flight
+  at a time, with what queues behind it coalesced into the next; a
+  flush answers every entry the same way, with a :class:`BlockResponse`
+  over its rows of the flush's result columns, and ``route()`` reads
+  its one row back as a :class:`ServiceResponse`;
 * the kernel call itself (:func:`~repro.service.workers.route_task`,
   handed the epoch's view), run inline on the event loop's thread.
   The kernel is hundreds of numpy calls on arrays of a few hundred
@@ -42,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +55,7 @@ from ..core.hypercube import Hypercube
 from ..obs.instruments import metrics, record_block_submission, \
     record_service_batch
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
-from .batcher import MicroBatcher, PendingBlock, PendingRequest
+from .batcher import MicroBatcher, PendingEntry
 from .epoch import EpochManager, EpochSwap
 from .workers import TornTableError, route_task
 
@@ -106,7 +109,8 @@ class ServiceConfig:
     dimension: int
     #: Row cap of one flush (one kernel call).
     max_batch: int = 4096
-    #: How long a single's window gathers other singles (blocks skip it).
+    #: How long a one-row entry's window gathers other one-row entries
+    #: (an entry of two or more rows skips it).
     window_us: int = 500
     tie_break: str = "lowest-dim"
 
@@ -136,44 +140,86 @@ class ServiceResponse:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
+class _FlushAnswer:
+    """One flush's answer: its gathered rows and their result columns.
+
+    Entries own disjoint row ranges of it and nothing writes it after
+    the flush, so each entry's :class:`BlockResponse` reads its rows in
+    place.  The Python-int reply rows are made once per flush, the first
+    time an entry asks for them.
+    """
+
+    epoch: int
+    sources: np.ndarray
+    dests: np.ndarray
+    status: np.ndarray
+    condition: np.ndarray
+    hops: np.ndarray
+    hamming: np.ndarray
+    _replies: Optional[list] = None
+
+    def replies(self) -> list:
+        if self._replies is None:
+            self._replies = list(zip(
+                repeat(self.epoch), self.status.tolist(),
+                self.condition.tolist(), self.hops.tolist(),
+                self.hamming.tolist()))
+        return self._replies
+
+
+def _column(name: str) -> property:
+    return property(
+        lambda self: getattr(self._answer, name)[self._lo:self._hi],
+        doc=f"This entry's rows of the flush's ``{name}`` column.")
+
+
 class BlockResponse:
-    """One answered block: columnar outcomes for a whole vector of pairs.
+    """One answered entry: columnar outcomes for its vector of pairs.
 
     All rows were routed against the *same* epoch in the same kernel
     call.  ``status``/``condition`` are the kernel's integer codes
     (uint8), with refused rows carrying :data:`REJECTED_CODE` — exactly
     the columns the binary wire format ships, so a server can frame a
-    block response without per-row object churn.
+    block response without per-row object churn.  The columns are views
+    of the flush's own result columns, made when read.
     """
 
-    sources: np.ndarray
-    dests: np.ndarray
-    epoch: int
-    status: np.ndarray      # uint8 codes; REJECTED_CODE for refused rows
-    condition: np.ndarray   # uint8 codes
-    hops: np.ndarray        # int64
-    hamming: np.ndarray     # int64
+    __slots__ = ("_answer", "_lo", "_hi")
 
-    def __len__(self) -> int:
-        return len(self.sources)
+    sources = _column("sources")        # int64
+    dests = _column("dests")            # int64
+    status = _column("status")          # uint8 codes; REJECTED_CODE refused
+    condition = _column("condition")    # uint8 codes
+    hops = _column("hops")              # int64
+    hamming = _column("hamming")        # int64
+
+    def __init__(self, answer: _FlushAnswer, lo: int, hi: int) -> None:
+        self._answer, self._lo, self._hi = answer, lo, hi
 
     @property
-    def rejected(self) -> int:
-        return int((self.status == REJECTED_CODE).sum())
+    def epoch(self) -> int:
+        return self._answer.epoch
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def replies(self) -> list:
+        """Per row, ``(epoch, status, condition, hops, hamming)`` as
+        Python ints: the fields of a ``ROUTE_R`` reply."""
+        return self._answer.replies()[self._lo:self._hi]
 
     def response(self, i: int) -> ServiceResponse:
         """Materialize row ``i`` as a scalar :class:`ServiceResponse`."""
-        code = int(self.status[i])
+        k = range(self._lo, self._hi)[i]  # IndexError past this entry
+        answer = self._answer
+        epoch, status, condition, hops, hamming = answer.replies()[k]
         return ServiceResponse(
-            source=int(self.sources[i]), dest=int(self.dests[i]),
-            epoch=self.epoch, status=status_string(code),
-            condition=condition_string(int(self.condition[i])),
-            hops=int(self.hops[i]), hamming=int(self.hamming[i]),
+            source=int(answer.sources[k]), dest=int(answer.dests[k]),
+            epoch=epoch, status=status_string(status),
+            condition=condition_string(condition), hops=hops,
+            hamming=hamming,
         )
-
-    def to_responses(self) -> List[ServiceResponse]:
-        return [self.response(i) for i in range(len(self.sources))]
 
 
 class RoutingService:
@@ -191,7 +237,8 @@ class RoutingService:
     ``route`` may be called from any number of concurrent tasks; that
     concurrency is exactly what the micro-batcher converts into batched
     kernel throughput.  ``route_block`` submits a whole vector as one
-    batcher entry — the wire path's unit of work.  Kernel calls and
+    batcher entry — the wire path's unit of work; ``route`` is the same
+    entry with one row.  Kernel calls and
     fault events run on the event loop's thread.
     """
 
@@ -235,8 +282,10 @@ class RoutingService:
     # -- the request path ----------------------------------------------------
 
     async def route(self, src: int, dst: int) -> ServiceResponse:
-        """Answer one unicast route query (micro-batched under the hood)."""
-        return await self.batcher.submit(src, dst)
+        """Answer one unicast route query: a one-row entry, so it waits
+        in the batcher's window for others to share its kernel call."""
+        block = await self.batcher.submit(src, dst)
+        return block.response(0)
 
     async def route_many(
         self, pairs: Iterable[Tuple[int, int]]
@@ -252,7 +301,9 @@ class RoutingService:
 
         The amortization lever behind the wire path: a pipelined client's
         frame of R routes costs one admission, one future, and one demux
-        slice instead of R of each.
+        slice instead of R of each.  ``srcs``/``dsts`` are numpy vectors
+        or lists of ints; a one-row block waits in the window like
+        :meth:`route`.
         """
         record_block_submission(len(srcs))
         return await self.batcher.submit_block(srcs, dsts)
@@ -272,30 +323,7 @@ class RoutingService:
 
     # -- batch execution -----------------------------------------------------
 
-    def _gather_rows(
-        self, batch: List[object]
-    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-        """Flatten batch entries into row vectors + per-entry bounds:
-        entry ``i`` owns rows ``bounds[i]:bounds[i + 1]``."""
-        if all(isinstance(e, PendingRequest) for e in batch):
-            srcs = np.fromiter((e.src for e in batch), dtype=np.int64,
-                               count=len(batch))
-            dsts = np.fromiter((e.dst for e in batch), dtype=np.int64,
-                               count=len(batch))
-            return srcs, dsts, list(range(len(batch) + 1))
-        bounds = [0, *accumulate(e.rows for e in batch)]
-        srcs = np.empty(bounds[-1], dtype=np.int64)
-        dsts = np.empty(bounds[-1], dtype=np.int64)
-        for entry, lo, hi in zip(batch, bounds, bounds[1:]):
-            if isinstance(entry, PendingBlock):
-                srcs[lo:hi] = entry.srcs
-                dsts[lo:hi] = entry.dsts
-            else:
-                srcs[lo] = entry.src
-                dsts[lo] = entry.dst
-        return srcs, dsts, bounds
-
-    async def _flush(self, batch: List[object]) -> None:
+    async def _flush(self, batch: List[PendingEntry]) -> None:
         """Route one micro-batch against the current epoch's table.
 
         Up to ``max_batch`` routable rows go in one kernel call, with no
@@ -305,8 +333,11 @@ class RoutingService:
         """
         start_ns = time.perf_counter_ns()
         queue_us = (start_ns - min(r.enqueued_ns for r in batch)) // 1000
-        srcs, dsts, bounds = self._gather_rows(batch)
-        total = len(srcs)
+        # Entry i owns rows bounds[i]:bounds[i + 1].
+        bounds = [0, *accumulate(e.rows for e in batch)]
+        srcs = np.concatenate([e.srcs for e in batch])
+        dsts = np.concatenate([e.dsts for e in batch])
+        total = bounds[-1]
         view = self.epochs.current
         bad = ((srcs < 0) | (srcs >= self.topo.num_nodes)
                | (dsts < 0) | (dsts >= self.topo.num_nodes))
@@ -344,32 +375,16 @@ class RoutingService:
             hamming[rows] = k_hamming
 
         rejected = total - int(keep.size)
-        # Block columns are views of this flush's own result columns:
-        # entries own disjoint rows and nothing writes them afterwards.
+        answer = _FlushAnswer(view.epoch, srcs, dsts, status, condition,
+                              hops, hamming)
         for entry, lo, hi in zip(batch, bounds, bounds[1:]):
-            if isinstance(entry, PendingBlock):
-                resp: object = BlockResponse(
-                    sources=entry.srcs, dests=entry.dsts, epoch=view.epoch,
-                    status=status[lo:hi],
-                    condition=condition[lo:hi],
-                    hops=hops[lo:hi],
-                    hamming=hamming[lo:hi],
-                )
-            else:
-                code = int(status[lo])
-                resp = ServiceResponse(
-                    source=entry.src, dest=entry.dst, epoch=view.epoch,
-                    status=status_string(code),
-                    condition=condition_string(int(condition[lo])),
-                    hops=int(hops[lo]), hamming=int(hamming[lo]),
-                )
             if not entry.future.done():
-                entry.future.set_result(resp)
+                entry.future.set_result(BlockResponse(answer, lo, hi))
         self.responses += total
         self.rejected += rejected
         exec_us = (time.perf_counter_ns() - start_ns) // 1000
         record_service_batch(
             n=self.topo.dimension, epoch=view.epoch, routes=int(keep.size),
             rejected=rejected, queue_us=int(queue_us), exec_us=int(exec_us),
-            entries=len(batch) if len(batch) != total else None,
+            entries=len(batch),
         )

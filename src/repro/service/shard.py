@@ -64,8 +64,6 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence, \
     Tuple
 
-import numpy as np
-
 from ..core.faults import FaultSet
 from ..obs.instruments import (
     record_shard_down,
@@ -510,16 +508,17 @@ class ShardRouter:
                                  lambda svc, _rows: svc.route(src, dst))
 
     async def route_block(
-        self, tenant: str, srcs: np.ndarray, dsts: np.ndarray, *,
+        self, tenant: str, srcs: Sequence[int], dsts: Sequence[int], *,
         singles: bool = False,
     ) -> BlockResponse:
         """Route ``srcs[i] -> dsts[i]`` as one block against one epoch.
 
-        The block is one request to admission control, admitted whole or
-        shed.  ``singles=True`` (a server's run of ROUTE frames) makes
-        each row a request of its own: the rows within the tenant's
-        budget are routed, each row past it is shed alone, and the
-        response covers only the admitted leading rows.
+        ``srcs``/``dsts`` are numpy vectors or lists of ints.  The block
+        is one request to admission control, admitted whole or shed.
+        ``singles=True`` (a server's run of ROUTE frames) makes each row
+        a request of its own: the rows within the tenant's budget are
+        routed, each row past it is shed alone, and the response covers
+        only the admitted leading rows.
         """
         rows = len(srcs)
 

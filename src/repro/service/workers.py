@@ -49,11 +49,11 @@ def route_task(
 ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Route one micro-batch against one epoch's sealed table.
 
-    Returns ``(epoch, status, condition, hops, hamming)`` flat arrays in
-    request order.  The table is checked against the coordinator's
-    expected epoch first, so a response tagged ``epoch`` is *guaranteed*
-    to have been computed from that epoch's table — the no-torn-reads
-    contract.
+    Returns ``(epoch, status, condition, hops, hamming)``: flat views of
+    the kernel's result columns, in request order.  The table is checked
+    against the coordinator's expected epoch first, so a response tagged
+    ``epoch`` is *guaranteed* to have been computed from that epoch's
+    table — the no-torn-reads contract.
     """
     levels, packed = attach_epoch_table(table, epoch, n)
     res = route_with_table(
@@ -64,8 +64,8 @@ def route_task(
     )
     return (
         epoch,
-        res.status.reshape(-1).copy(),
-        res.condition.reshape(-1).copy(),
-        res.hops.reshape(-1).copy(),
-        res.hamming.reshape(-1).copy(),
+        res.status.reshape(-1),
+        res.condition.reshape(-1),
+        res.hops.reshape(-1),
+        res.hamming.reshape(-1),
     )

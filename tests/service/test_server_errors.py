@@ -272,8 +272,8 @@ class TestOneErrorTable:
             raise exc
 
         async def run(router):
-            # line routes and lone ROUTE frames reach router.route, longer
-            # binary runs reach route_block
+            # line routes reach router.route, binary ROUTE runs (a lone
+            # frame included) reach route_block
             router.route = router.route_block = fail
             client = await WireClient.connect("127.0.0.1", PORT + 7)
             async with client:

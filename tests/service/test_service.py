@@ -160,6 +160,26 @@ class TestEpochChurn:
         assert first.status != "rejected" and second.status != "rejected"
         assert flushes == 1
 
+    def test_block_endpoint_outside_int64_fails_alone(self):
+        async def run():
+            config = ServiceConfig(dimension=N, window_us=2000)
+            async with RoutingService(config, faults=FAULTS) as svc:
+                calls = [asyncio.ensure_future(svc.route(1, 2)),
+                         asyncio.ensure_future(
+                             svc.route_block([1 << 63, 1], [1, 2])),
+                         asyncio.ensure_future(
+                             svc.route_block([3], [-(1 << 63) - 1])),
+                         asyncio.ensure_future(svc.route(3, 4))]
+                return (await asyncio.gather(*calls, return_exceptions=True),
+                        svc.batcher.flushes)
+
+        (first, high, low, second), flushes = asyncio.run(run())
+        # a block is checked as a single is: refused alone at intake,
+        # with the ValueError the wire maps to E_BAD_REQUEST
+        assert isinstance(high, ValueError) and isinstance(low, ValueError)
+        assert first.status != "rejected" and second.status != "rejected"
+        assert flushes == 1
+
 
 class TestBatchingSemantics:
     def test_concurrent_requests_aggregate_into_one_flush(self):
@@ -269,6 +289,16 @@ def _assert_offline(block, srcs, dsts, faults):
     assert np.array_equal(block.hamming, ref.hamming.reshape(-1))
 
 
+def _assert_offline_single(resp, src, dst, faults):
+    _levels, ref = _offline(Hypercube(N), faults, [(src, dst)])
+    assert (resp.source, resp.dest) == (src, dst)
+    assert resp.status == _STATUS_BY_CODE[int(ref.status[0, 0])].value
+    assert resp.condition == \
+        _CONDITION_BY_CODE[int(ref.condition[0, 0])].value
+    assert (resp.hops, resp.hamming) == (int(ref.hops[0, 0]),
+                                         int(ref.hamming[0, 0]))
+
+
 class TestLane:
     def test_blocks_queued_behind_a_flush_share_one_later_call(self, kernel):
         first, *queued = _blocks(4, 8, seed=11)
@@ -331,10 +361,40 @@ class TestLane:
         assert elapsed < 0.03, f"block waited {elapsed * 1e3:.1f} ms"
         _assert_offline(block, srcs, dsts, FAULTS)
 
+    def test_one_row_block_waits_in_the_window(self, kernel):
+        async def run():
+            config = ServiceConfig(dimension=N, window_us=20_000)
+            async with RoutingService(config, faults=FAULTS) as svc:
+                block = asyncio.ensure_future(svc.route_block([1], [2]))
+                await asyncio.sleep(0.002)
+                single = await svc.route(3, 4)
+                return await block, single
+
+        block, single = asyncio.run(run())
+        # a one-row block is a single in all but its answer's shape: it
+        # waits in the window, and the single joins its kernel call
+        assert kernel.rows == [2]
+        assert len(block) == 1 and block.epoch == single.epoch == 1
+        _assert_offline(block, [1], [2], FAULTS)
+        _assert_offline_single(single, 3, 4, FAULTS)
+
+    # The entries queued behind a 6-row head block, by width; 0 is a
+    # single submitted through route().
+    @pytest.mark.parametrize("widths", [
+        (6, 6, 6, 6),
+        (0, 1, 6, 0, 1, 9, 0, 2),
+    ], ids=["blocks", "singles-one-row-and-wide"])
     def test_coalesced_blocks_share_one_epoch_and_match_offline(self,
-                                                                 kernel):
-        first, *queued = _blocks(5, 6, seed=15)
-        used = {int(v) for b in (first, *queued) for v in (*b[0], *b[1])}
+                                                                 kernel,
+                                                                 widths):
+        sizes = [6] + [max(w, 1) for w in widths]
+        pairs = _workload(sum(sizes), seed=15)
+        bounds = np.cumsum([0] + sizes)
+        srcs = np.array([s for s, _ in pairs], dtype=np.int64)
+        dsts = np.array([d for _, d in pairs], dtype=np.int64)
+        first, *queued = [(srcs[lo:hi], dsts[lo:hi])
+                          for lo, hi in zip(bounds, bounds[1:])]
+        used = set(srcs.tolist()) | set(dsts.tolist())
         victim = next(v for v in range(1 << N)
                       if v not in used and not FAULTS.is_node_faulty(v))
         after = FaultSet(nodes=sorted(FAULTS.nodes | {victim}))
@@ -350,21 +410,30 @@ class TestLane:
                         # running flush keeps epoch 1, the coalesced one
                         # takes epoch 2
                         svc.epochs.apply_fault_event(add=[victim])
-                        tail.extend(_queue(svc, queued))
+                        tail.extend(
+                            asyncio.ensure_future(
+                                svc.route(int(s[0]), int(d[0])) if not w
+                                else svc.route_block(s, d))
+                            for w, (s, d) in zip(widths, queued))
 
                 kernel.during = during
                 head = await svc.route_block(*first)
                 return head, await asyncio.gather(*tail)
 
         head, tail = asyncio.run(run())
-        assert kernel.rows == [6, 24]
+        assert kernel.rows == [6, sum(sizes[1:])]
         assert kernel.epochs == [1, 2]
         assert head.epoch == 1
         _assert_offline(head, *first, FAULTS)
         assert {b.epoch for b in tail} == {2}
-        for block, (srcs, dsts) in zip(tail, queued):
-            assert np.array_equal(block.sources, srcs)
-            _assert_offline(block, srcs, dsts, after)
+        for w, answer, (srcs, dsts) in zip(widths, tail, queued):
+            if not w:
+                _assert_offline_single(answer, int(srcs[0]), int(dsts[0]),
+                                       after)
+                continue
+            assert np.array_equal(answer.sources, srcs)
+            assert np.array_equal(answer.dests, dsts)
+            _assert_offline(answer, srcs, dsts, after)
 
     def test_drain_resolves_everything_queued_behind_the_lane(self, kernel):
         first, *queued = _blocks(3, 8, seed=16)
