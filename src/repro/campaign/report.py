@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.instruments import record_campaign_fit, set_recorder
+from ..obs.instruments import record, set_recorder
 from .runner import CHECKPOINT_FILE, RESULTS_FILE, SPEC_FILE, _read_checkpoint
 from .spec import CampaignSpec
 from .surface import fit_surfaces
@@ -126,7 +126,7 @@ def render_report(
         previous = set_recorder(recorder)
     try:
         for fit in fits:
-            record_campaign_fit(dict(campaign=spec.name, **fit.to_dict()))
+            record("campaign_fit", campaign=spec.name, **fit.to_dict())
     finally:
         if recorder is not None:
             set_recorder(previous)

@@ -42,7 +42,7 @@ from ..chaos import LinkKill, random_chaos_plan
 from ..core.fault_models import uniform_link_faults, uniform_node_faults
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
-from ..obs.instruments import record_campaign_cell
+from ..obs.instruments import record
 from ..routing.baselines.dfs_backtrack import route_dfs
 from ..routing.baselines.oracle import route_oracle
 from ..routing.link_fault_routing import route_unicast_with_links
@@ -227,7 +227,7 @@ def _evaluate_cell(cell: Cell, spec: CampaignSpec, jobs: Optional[int],
                  "index": cell.index}
         event.update(cell.factors())
         event.update({k: v for k, v in responses.items() if v is not None})
-        record_campaign_cell(event)
+        record("campaign_cell", **event)
         box["responses"] = responses
         return (f"{cell.cell_id}: delivery "
                 f"{responses['delivery_rate']:.3f} over {trials} trials")

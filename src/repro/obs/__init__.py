@@ -6,17 +6,21 @@ rest of the package so every subsystem may report through it:
 * :mod:`repro.obs.metrics` — an in-process :class:`MetricsRegistry`
   (counters, gauges, histograms, timers) that costs one branch per hook
   when disabled;
-* :mod:`repro.obs.events` / :mod:`repro.obs.recorder` — the
-  schema-versioned JSONL event stream: a :class:`RunRecorder` frames each
-  run with a provenance manifest (run id, fresh entropy, config, git
-  revision) and a ``run_end`` envelope, validating every record at emit
-  time;
+* :mod:`repro.obs.events` — :data:`SIGNALS`, the one declaration of
+  every telemetry signal: its event fields, the instruments it feeds and
+  the value domains of its keyed counters;
+* :mod:`repro.obs.recorder` — the schema-versioned JSONL event stream: a
+  :class:`RunRecorder` frames each run with a provenance manifest (run
+  id, fresh entropy, config, git revision) and a ``run_end`` envelope,
+  validating every record at emit time;
 * :mod:`repro.obs.runstats` — offline aggregation: ``repro stats
   run.jsonl`` folds a stream back into the run's headline numbers.
 
-Hot paths report through the hooks in :mod:`repro.obs.instruments`
-(:func:`record_route_attempt`, :func:`record_gs_batch`,
-:func:`record_sweep`); turn collection on around any code block with::
+Hot paths report through :func:`record` (``record("sim_drop",
+reason=...)``) or one of the adapters in :mod:`repro.obs.instruments`
+that reduce a domain object first (:func:`record_route_attempt`,
+:func:`record_gs_batch`, ...); turn collection on around any code block
+with::
 
     from repro import obs
 
@@ -27,18 +31,24 @@ Hot paths report through the hooks in :mod:`repro.obs.instruments`
 The CLI exposes the same switch as ``--metrics-out PATH``.
 """
 
-from .events import EVENT_TYPES, SCHEMA_VERSION, SchemaError, validate_event, validate_stream
-from .instruments import (
+from .events import (
+    EVENT_TYPES,
+    SCHEMA_VERSION,
+    SIGNALS,
     STANDARD_COUNTERS,
+    SchemaError,
+    validate_event,
+    validate_stream,
+)
+from .instruments import (
     active_recorder,
     disable_metrics,
     enable_metrics,
     metrics,
     observed,
-    record_chaos_run,
+    record,
     record_gs_batch,
     record_route_attempt,
-    record_sim_drop,
     record_sweep,
     set_recorder,
 )
@@ -55,6 +65,7 @@ from .runstats import RunStats, render_stats, summarize_run
 __all__ = [
     "SCHEMA_VERSION",
     "EVENT_TYPES",
+    "SIGNALS",
     "SchemaError",
     "validate_event",
     "validate_stream",
@@ -78,9 +89,8 @@ __all__ = [
     "active_recorder",
     "set_recorder",
     "observed",
+    "record",
     "record_route_attempt",
     "record_gs_batch",
     "record_sweep",
-    "record_sim_drop",
-    "record_chaos_run",
 ]

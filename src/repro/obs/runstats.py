@@ -8,6 +8,10 @@ round-trip (emit → aggregate → same numbers) is the contract the
 telemetry layer is tested against: if ``repro stats`` cannot reproduce a
 headline number, the stream is missing information.
 
+The fold knows no event type by name: it aggregates every field of
+every record by its JSON shape, so a signal added to
+:data:`~repro.obs.events.SIGNALS` is folded without touching this module.
+
 Deliberately free of :mod:`repro.analysis` imports so the observability
 layer stays at the bottom of the dependency stack (core/simcore-level);
 rendering is plain text.
@@ -18,159 +22,153 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from .events import SchemaError, validate_stream
+from .events import SIGNALS, SchemaError, validate_stream
 from .recorder import iter_events
 
 __all__ = ["RunStats", "summarize_run", "render_stats"]
 
+_ENVELOPE = frozenset({"v", "seq", "type", "ts"})
+
+
+def _merged(*tallies: Mapping[str, int]) -> Dict[str, int]:
+    out: Dict[str, int] = {}
+    for tally in tallies:
+        for key, count in tally.items():
+            out[key] = out.get(key, 0) + count
+    return out
+
 
 @dataclass
 class RunStats:
-    """Aggregates recovered from one run's event stream."""
+    """Aggregates recovered from one run's event stream.
+
+    Folded per ``(event type, field)``: a numeric field (a bool counts
+    as 0 or 1) gives the number of events carrying it, its sum and its
+    max; a string field gives a count per value; a count-map field
+    (``statuses``, ``rounds_hist``, ...) gives its merged counts.
+    Records of the spec's ``keep`` types (manifest, experiment,
+    metrics_snapshot, run_end) are kept whole.
+    """
 
     path: str
-    manifest: Dict[str, Any]
-    run_end: Dict[str, Any]
     total_events: int = 0
     event_counts: Dict[str, int] = field(default_factory=dict)
-    #: RouteStatus value -> attempts; SourceCondition value -> attempts.
-    route_status: Dict[str, int] = field(default_factory=dict)
-    route_conditions: Dict[str, int] = field(default_factory=dict)
-    route_hops_sum: int = 0
-    #: routing_batch kernel calls and the routes they covered (the
-    #: per-route outcomes are already folded into route_status /
-    #: route_conditions / route_hops_sum alongside scalar attempts).
-    routing_batches: int = 0
-    routing_batch_routes: int = 0
-    routing_kernels: Dict[str, int] = field(default_factory=dict)
-    #: stabilization round -> trial count, merged over every gs_batch.
-    gs_rounds_hist: Dict[int, int] = field(default_factory=dict)
-    gs_kernels: Dict[str, int] = field(default_factory=dict)
-    gs_batches: int = 0
-    #: incremental_update aggregates: fault deltas the level engine
-    #: absorbed without a full recompute.
-    incr_updates: int = 0
-    incr_fallbacks: int = 0
-    incr_dirty_seed_sum: int = 0
-    incr_dirty_total_sum: int = 0
-    incr_changed_sum: int = 0
-    incr_rounds_sum: int = 0
-    incr_messages_sum: int = 0
-    #: service_batch / epoch_swap aggregates: the routing service's
-    #: micro-batched request flow and its fault-epoch transitions.
-    service_batches: int = 0
-    service_routes: int = 0
-    service_rejected: int = 0
-    #: batcher *entries* folded into those batches — a block submission
-    #: is one entry covering many rows, so entries < requests measures
-    #: how much the wire's BLOCK op amortized (streams that predate the
-    #: field count one entry per request).
-    service_entries: int = 0
-    service_backends: Dict[str, int] = field(default_factory=dict)
-    service_queue_us_sum: int = 0
-    service_exec_us_sum: int = 0
-    epoch_swaps: int = 0
-    epoch_swap_fallbacks: int = 0
-    epoch_faults_added: int = 0
-    epoch_faults_removed: int = 0
-    epoch_publish_us_sum: int = 0
-    epoch_flip_us_sum: int = 0
-    epoch_last: int = 0
-    #: shard_failover aggregates: self-healing events at the shard tier.
-    shard_failovers: int = 0
-    failover_tenants_moved: int = 0
-    failover_epochs_replayed: int = 0
-    failover_ms_sum: float = 0.0
-    failover_ms_max: float = 0.0
-    failover_detected: Dict[str, int] = field(default_factory=dict)
-    sweep_trials: int = 0
-    sweep_chunks: int = 0
-    sweep_elapsed_s: float = 0.0
-    sweep_jobs_max: int = 0
-    #: chaos_run aggregates: resilient deliveries under fault injection.
-    chaos_runs: int = 0
-    chaos_delivered: int = 0
-    chaos_stages: Dict[str, int] = field(default_factory=dict)
-    chaos_retries: int = 0
-    chaos_node_kills: int = 0
-    chaos_link_kills: int = 0
-    chaos_tampered: int = 0
-    chaos_duplicates: int = 0
-    chaos_stale_reroutes: int = 0
-    chaos_hops_sum: int = 0
-    chaos_latency_sum: int = 0
-    chaos_latency_count: int = 0
-    experiments: List[Dict[str, Any]] = field(default_factory=list)
-    metrics_snapshot: Optional[Dict[str, Any]] = None
+    kept: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
+    #: (type, field) -> [events carrying it, sum, max]
+    numbers: Dict[Tuple[str, str], List[Any]] = field(default_factory=dict)
+    #: (type, field) -> {value or map key -> count}
+    tallies: Dict[Tuple[str, str], Dict[str, int]] = field(
+        default_factory=dict)
 
-    # -- derived headline numbers ------------------------------------------
+    def add(self, record: Mapping[str, Any]) -> None:
+        """Fold one validated record."""
+        etype = record["type"]
+        self.total_events += 1
+        self.event_counts[etype] = self.event_counts.get(etype, 0) + 1
+        if SIGNALS[etype].keep:
+            self.kept.setdefault(etype, []).append(record)
+            return
+        for name, value in record.items():
+            if name in _ENVELOPE:
+                continue
+            key = (etype, name)
+            if isinstance(value, (int, float)):
+                agg = self.numbers.get(key)
+                if agg is None:  # 0 + value: a bool sums as an int
+                    self.numbers[key] = [1, 0 + value, value]
+                else:
+                    agg[0] += 1
+                    agg[1] += value
+                    agg[2] = max(agg[2], value)
+            elif isinstance(value, str):
+                tally = self.tallies.setdefault(key, {})
+                tally[value] = tally.get(value, 0) + 1
+            elif isinstance(value, dict) and all(
+                    isinstance(c, (int, float)) for c in value.values()):
+                tally = self.tallies.setdefault(key, {})
+                for k, count in value.items():
+                    tally[k] = tally.get(k, 0) + count
+
+    # -- generic aggregates --------------------------------------------------
+
+    def count(self, etype: str) -> int:
+        """Events of type ``etype``."""
+        return self.event_counts.get(etype, 0)
+
+    def present(self, etype: str, name: str) -> int:
+        """``etype`` events carrying numeric field ``name``."""
+        return self.numbers.get((etype, name), (0, 0, 0))[0]
+
+    def sum(self, etype: str, name: str) -> Any:
+        return self.numbers.get((etype, name), (0, 0, 0))[1]
+
+    def max(self, etype: str, name: str) -> Any:
+        return self.numbers.get((etype, name), (0, 0, 0))[2]
+
+    def tally(self, etype: str, name: str) -> Dict[str, int]:
+        """Counts per value of a string field, or a count map's merged
+        counts (keys as JSON strings)."""
+        return self.tallies.get((etype, name), {})
+
+    # -- kept records --------------------------------------------------------
+
+    @property
+    def manifest(self) -> Dict[str, Any]:
+        return self.kept["manifest"][0]
+
+    @property
+    def run_end(self) -> Dict[str, Any]:
+        return self.kept["run_end"][-1]
+
+    @property
+    def metrics_snapshot(self) -> Optional[Dict[str, Any]]:
+        snapshots = self.kept.get("metrics_snapshot")
+        return snapshots[-1]["metrics"] if snapshots else None
+
+    # -- headline numbers ----------------------------------------------------
 
     @property
     def route_attempts(self) -> int:
-        return sum(self.route_status.values())
+        """Unicasts routed one by one plus those in batched calls."""
+        return (self.count("route_attempt")
+                + sum(self.tally("routing_batch", "statuses").values()))
+
+    def condition_rate(self, condition: str) -> float:
+        attempts = self.route_attempts
+        if not attempts:
+            return 0.0
+        hits = (self.tally("route_attempt", "condition").get(condition, 0)
+                + self.tally("routing_batch", "conditions").get(condition, 0))
+        return hits / attempts
 
     @property
     def gs_trials(self) -> int:
-        return sum(self.gs_rounds_hist.values())
+        return sum(self.tally("gs_batch", "rounds_hist").values())
 
     @property
     def gs_rounds_mean(self) -> float:
         trials = self.gs_trials
         if not trials:
             return 0.0
-        return sum(r * c for r, c in self.gs_rounds_hist.items()) / trials
+        hist = self.tally("gs_batch", "rounds_hist")
+        return sum(int(r) * c for r, c in hist.items()) / trials
 
     @property
     def gs_rounds_max(self) -> int:
-        return max(self.gs_rounds_hist, default=0)
+        return max(map(int, self.tally("gs_batch", "rounds_hist")), default=0)
+
+    @property
+    def sweep_trials(self) -> int:
+        return self.sum("sweep", "trials")
 
     @property
     def sweep_trials_per_s(self) -> float:
-        if self.sweep_elapsed_s <= 0:
+        elapsed = self.sum("sweep", "elapsed_s")
+        if elapsed <= 0:
             return 0.0
-        return self.sweep_trials / self.sweep_elapsed_s
-
-    @property
-    def incr_dirty_seed_mean(self) -> float:
-        if not self.incr_updates:
-            return 0.0
-        return self.incr_dirty_seed_sum / self.incr_updates
-
-    def condition_rate(self, condition: str) -> float:
-        attempts = self.route_attempts
-        if not attempts:
-            return 0.0
-        return self.route_conditions.get(condition, 0) / attempts
-
-    @property
-    def service_requests(self) -> int:
-        return self.service_routes + self.service_rejected
-
-    @property
-    def service_queue_us_mean(self) -> float:
-        if not self.service_batches:
-            return 0.0
-        return self.service_queue_us_sum / self.service_batches
-
-    @property
-    def service_batch_size_mean(self) -> float:
-        if not self.service_batches:
-            return 0.0
-        return self.service_requests / self.service_batches
-
-    @property
-    def chaos_delivery_rate(self) -> float:
-        if not self.chaos_runs:
-            return 0.0
-        return self.chaos_delivered / self.chaos_runs
-
-    @property
-    def chaos_latency_mean(self) -> float:
-        if not self.chaos_latency_count:
-            return 0.0
-        return self.chaos_latency_sum / self.chaos_latency_count
+        return self.sweep_trials / elapsed
 
 
 def summarize_run(path: Union[str, Path]) -> RunStats:
@@ -180,98 +178,9 @@ def summarize_run(path: Union[str, Path]) -> RunStats:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON Lines: {exc}") from exc
     validate_stream(records)
-    stats = RunStats(path=str(path), manifest=records[0],
-                     run_end=records[-1], total_events=len(records))
-    for rec in records:
-        etype = rec["type"]
-        stats.event_counts[etype] = stats.event_counts.get(etype, 0) + 1
-        if etype == "route_attempt":
-            status, cond = rec["status"], rec["condition"]
-            stats.route_status[status] = stats.route_status.get(status, 0) + 1
-            stats.route_conditions[cond] = (
-                stats.route_conditions.get(cond, 0) + 1)
-            stats.route_hops_sum += rec["hops"]
-        elif etype == "routing_batch":
-            stats.routing_batches += 1
-            stats.routing_batch_routes += rec["routes"]
-            stats.routing_kernels[rec["kernel"]] = (
-                stats.routing_kernels.get(rec["kernel"], 0) + 1)
-            for status, count in rec["statuses"].items():
-                stats.route_status[status] = (
-                    stats.route_status.get(status, 0) + count)
-            for cond, count in rec["conditions"].items():
-                stats.route_conditions[cond] = (
-                    stats.route_conditions.get(cond, 0) + count)
-            stats.route_hops_sum += rec["hops_sum"]
-        elif etype == "gs_batch":
-            stats.gs_batches += 1
-            stats.gs_kernels[rec["kernel"]] = (
-                stats.gs_kernels.get(rec["kernel"], 0) + 1)
-            for r, c in rec["rounds_hist"].items():
-                r = int(r)  # JSON object keys arrive as strings
-                stats.gs_rounds_hist[r] = stats.gs_rounds_hist.get(r, 0) + c
-        elif etype == "incremental_update":
-            stats.incr_updates += 1
-            if rec["fallback"]:
-                stats.incr_fallbacks += 1
-            stats.incr_dirty_seed_sum += rec["dirty_seed"]
-            stats.incr_dirty_total_sum += rec["dirty_total"]
-            stats.incr_changed_sum += rec["changed"]
-            stats.incr_rounds_sum += rec["rounds"]
-            stats.incr_messages_sum += rec["messages"]
-        elif etype == "service_batch":
-            stats.service_batches += 1
-            stats.service_routes += rec["routes"]
-            stats.service_rejected += rec["rejected"]
-            stats.service_entries += rec.get(
-                "entries", rec["routes"] + rec["rejected"])
-            stats.service_backends[rec["backend"]] = (
-                stats.service_backends.get(rec["backend"], 0) + 1)
-            stats.service_queue_us_sum += rec["queue_us"]
-            stats.service_exec_us_sum += rec["exec_us"]
-        elif etype == "epoch_swap":
-            stats.epoch_swaps += 1
-            if rec["fallback"]:
-                stats.epoch_swap_fallbacks += 1
-            stats.epoch_faults_added += rec["added"]
-            stats.epoch_faults_removed += rec["removed"]
-            stats.epoch_publish_us_sum += rec["publish_us"]
-            stats.epoch_flip_us_sum += rec.get("flip_us", 0)
-            stats.epoch_last = max(stats.epoch_last, rec["epoch"])
-        elif etype == "shard_failover":
-            stats.shard_failovers += 1
-            stats.failover_tenants_moved += rec["moved"]
-            stats.failover_epochs_replayed += rec["epochs_replayed"]
-            stats.failover_ms_sum += rec["failover_ms"]
-            stats.failover_ms_max = max(stats.failover_ms_max,
-                                        rec["failover_ms"])
-            stats.failover_detected[rec["detected"]] = (
-                stats.failover_detected.get(rec["detected"], 0) + 1)
-        elif etype == "chaos_run":
-            stats.chaos_runs += 1
-            if rec["status"] == "delivered":
-                stats.chaos_delivered += 1
-            stats.chaos_stages[rec["stage"]] = (
-                stats.chaos_stages.get(rec["stage"], 0) + 1)
-            stats.chaos_retries += rec["retries"]
-            stats.chaos_node_kills += rec["node_kills"]
-            stats.chaos_link_kills += rec["link_kills"]
-            stats.chaos_tampered += rec["tampered"]
-            stats.chaos_duplicates += rec["duplicates"]
-            stats.chaos_stale_reroutes += rec["stale_reroutes"]
-            stats.chaos_hops_sum += rec["hops"]
-            if "latency" in rec:
-                stats.chaos_latency_sum += rec["latency"]
-                stats.chaos_latency_count += 1
-        elif etype == "sweep":
-            stats.sweep_trials += rec["trials"]
-            stats.sweep_chunks += rec["chunks"]
-            stats.sweep_elapsed_s += rec["elapsed_s"]
-            stats.sweep_jobs_max = max(stats.sweep_jobs_max, rec["jobs"])
-        elif etype == "experiment":
-            stats.experiments.append(rec)
-        elif etype == "metrics_snapshot":
-            stats.metrics_snapshot = rec["metrics"]
+    stats = RunStats(path=str(path))
+    for record in records:
+        stats.add(record)
     return stats
 
 
@@ -285,6 +194,7 @@ def _fmt_counts(pairs: Dict[str, int], total: int) -> str:
 
 def render_stats(stats: RunStats) -> str:
     """Human-readable report mirroring the live experiment's headlines."""
+    count, total, tally = stats.count, stats.sum, stats.tally
     m = stats.manifest
     lines = [
         f"run {m['run_id'][:12]}  [{stats.path}]",
@@ -299,123 +209,140 @@ def render_stats(stats: RunStats) -> str:
     if config:
         lines.append("  config: "
                      + "  ".join(f"{k}={v}" for k, v in sorted(config.items())))
-    if stats.experiments:
+    experiments = stats.kept.get("experiment", [])
+    if experiments:
         lines.append("experiments:")
-        for exp in stats.experiments:
+        for exp in experiments:
             lines.append(f"  {exp['name']:<16} {exp['status']:<6} "
                          f"{exp['elapsed_s']:.2f}s")
     attempts = stats.route_attempts
     lines.append(f"routing: {attempts} attempts")
-    if stats.routing_batches:
+    batches = count("routing_batch")
+    if batches:
         lines.append(
-            f"  batched:    {stats.routing_batch_routes} routes in "
-            f"{stats.routing_batches} kernel calls "
-            f"({_fmt_counts(stats.routing_kernels, stats.routing_batches)})"
+            f"  batched:    {total('routing_batch', 'routes')} routes in "
+            f"{batches} kernel calls "
+            f"({_fmt_counts(tally('routing_batch', 'kernel'), batches)})"
         )
     if attempts:
-        lines.append("  status:     "
-                     + _fmt_counts(stats.route_status, attempts))
-        lines.append("  conditions: "
-                     + _fmt_counts(stats.route_conditions, attempts))
-        lines.append(f"  mean hops:  {stats.route_hops_sum / attempts:.3f}")
+        status = _merged(tally("route_attempt", "status"),
+                         tally("routing_batch", "statuses"))
+        conditions = _merged(tally("route_attempt", "condition"),
+                             tally("routing_batch", "conditions"))
+        hops = total("route_attempt", "hops") + total("routing_batch",
+                                                      "hops_sum")
+        lines.append("  status:     " + _fmt_counts(status, attempts))
+        lines.append("  conditions: " + _fmt_counts(conditions, attempts))
+        lines.append(f"  mean hops:  {hops / attempts:.3f}")
+    batches = count("gs_batch")
     lines.append(
-        f"gs kernel: {stats.gs_trials} trials in {stats.gs_batches} batches"
-        + (f" ({_fmt_counts(stats.gs_kernels, stats.gs_batches)})"
-           if stats.gs_batches else "")
+        f"gs kernel: {stats.gs_trials} trials in {batches} batches"
+        + (f" ({_fmt_counts(tally('gs_batch', 'kernel'), batches)})"
+           if batches else "")
     )
     if stats.gs_trials:
+        hist = sorted((int(r), c)
+                      for r, c in tally("gs_batch", "rounds_hist").items())
         lines.append(f"  rounds: mean={stats.gs_rounds_mean:.4f}  "
-                     f"max={stats.gs_rounds_max}  "
-                     f"hist={dict(sorted(stats.gs_rounds_hist.items()))}")
-    if stats.incr_updates:
+                     f"max={stats.gs_rounds_max}  hist={dict(hist)}")
+    updates = count("incremental_update")
+    if updates:
         lines.append(
-            f"incremental levels: {stats.incr_updates} updates "
-            f"({stats.incr_fallbacks} fallbacks)"
+            f"incremental levels: {updates} updates "
+            f"({total('incremental_update', 'fallback')} fallbacks)"
         )
         lines.append(
-            f"  dirty:      seed_mean={stats.incr_dirty_seed_mean:.2f}  "
-            f"evaluated={stats.incr_dirty_total_sum}  "
-            f"changed={stats.incr_changed_sum}"
+            f"  dirty:      seed_mean="
+            f"{total('incremental_update', 'dirty_seed') / updates:.2f}  "
+            f"evaluated={total('incremental_update', 'dirty_total')}  "
+            f"changed={total('incremental_update', 'changed')}"
         )
         lines.append(
-            f"  protocol:   rounds={stats.incr_rounds_sum}  "
-            f"messages={stats.incr_messages_sum}"
+            f"  protocol:   rounds={total('incremental_update', 'rounds')}  "
+            f"messages={total('incremental_update', 'messages')}"
         )
-    if stats.service_batches or stats.epoch_swaps:
+    batches, swaps = count("service_batch"), count("epoch_swap")
+    if batches or swaps:
+        routed = total("service_batch", "routes")
+        rejected = total("service_batch", "rejected")
+        requests = routed + rejected
+        entries = total("service_batch", "entries")
+        size_mean = requests / batches if batches else 0.0
+        queue_mean = (total("service_batch", "queue_us") / batches
+                      if batches else 0.0)
         lines.append(
-            f"service: {stats.service_requests} requests in "
-            f"{stats.service_batches} micro-batches "
-            f"(mean size {stats.service_batch_size_mean:.1f}; "
-            f"{_fmt_counts(stats.service_backends, stats.service_batches)})"
+            f"service: {requests} requests in {batches} micro-batches "
+            f"(mean size {size_mean:.1f}; "
+            f"{_fmt_counts(tally('service_batch', 'backend'), batches)})"
         )
-        lines.append(
-            f"  outcomes:   routed={stats.service_routes}  "
-            f"rejected={stats.service_rejected}"
-        )
-        if stats.service_entries and \
-                stats.service_entries != stats.service_requests:
+        lines.append(f"  outcomes:   routed={routed}  rejected={rejected}")
+        if entries and entries != requests:
             lines.append(
-                f"  blocks:     {stats.service_requests} rows in "
-                f"{stats.service_entries} entries "
-                f"(x{stats.service_requests / stats.service_entries:.1f} "
-                f"wire amortization)"
+                f"  blocks:     {requests} rows in {entries} entries "
+                f"(x{requests / entries:.1f} wire amortization)"
             )
         lines.append(
-            f"  latency:    queue_us_mean={stats.service_queue_us_mean:.0f}  "
-            f"exec_us_sum={stats.service_exec_us_sum}"
+            f"  latency:    queue_us_mean={queue_mean:.0f}  "
+            f"exec_us_sum={total('service_batch', 'exec_us')}"
         )
         lines.append(
-            f"  epochs:     swaps={stats.epoch_swaps} "
-            f"(fallbacks={stats.epoch_swap_fallbacks})  "
-            f"last_epoch={stats.epoch_last}  "
-            f"faults +{stats.epoch_faults_added}/-{stats.epoch_faults_removed}  "
-            f"publish_us_sum={stats.epoch_publish_us_sum}  "
-            f"flip_us_sum={stats.epoch_flip_us_sum}"
+            f"  epochs:     swaps={swaps} "
+            f"(fallbacks={total('epoch_swap', 'fallback')})  "
+            f"last_epoch={stats.max('epoch_swap', 'epoch')}  "
+            f"faults +{total('epoch_swap', 'added')}"
+            f"/-{total('epoch_swap', 'removed')}  "
+            f"publish_us_sum={total('epoch_swap', 'publish_us')}  "
+            f"flip_us_sum={total('epoch_swap', 'flip_us')}"
         )
-    if stats.shard_failovers:
-        mean_ms = stats.failover_ms_sum / stats.shard_failovers
+    deaths = count("shard_failover")
+    if deaths:
+        mean_ms = total("shard_failover", "failover_ms") / deaths
         lines.append(
-            f"failover: {stats.shard_failovers} shard deaths "
-            f"({_fmt_counts(stats.failover_detected, stats.shard_failovers)})"
+            f"failover: {deaths} shard deaths "
+            f"({_fmt_counts(tally('shard_failover', 'detected'), deaths)})"
         )
         lines.append(
-            f"  recovered:  tenants_moved={stats.failover_tenants_moved}  "
-            f"epochs_replayed={stats.failover_epochs_replayed}"
+            f"  recovered:  tenants_moved={total('shard_failover', 'moved')}  "
+            f"epochs_replayed={total('shard_failover', 'epochs_replayed')}"
         )
         lines.append(
             f"  recovery:   failover_ms_mean={mean_ms:.1f}  "
-            f"failover_ms_max={stats.failover_ms_max:.1f}"
+            f"failover_ms_max={stats.max('shard_failover', 'failover_ms'):.1f}"
         )
-    if stats.chaos_runs:
+    runs = count("chaos_run")
+    if runs:
+        delivered = tally("chaos_run", "status").get("delivered", 0)
         lines.append(
-            f"chaos: {stats.chaos_runs} runs  "
-            f"delivered={stats.chaos_delivered} "
-            f"({100.0 * stats.chaos_delivery_rate:.1f}%)"
+            f"chaos: {runs} runs  delivered={delivered} "
+            f"({100.0 * (delivered / runs):.1f}%)"
         )
         lines.append("  stages:     "
-                     + _fmt_counts(stats.chaos_stages, stats.chaos_runs))
+                     + _fmt_counts(tally("chaos_run", "stage"), runs))
         lines.append(
-            f"  injected:   node_kills={stats.chaos_node_kills}  "
-            f"link_kills={stats.chaos_link_kills}  "
-            f"tampered={stats.chaos_tampered}"
+            f"  injected:   node_kills={total('chaos_run', 'node_kills')}  "
+            f"link_kills={total('chaos_run', 'link_kills')}  "
+            f"tampered={total('chaos_run', 'tampered')}"
         )
         lines.append(
-            f"  recovery:   retries={stats.chaos_retries}  "
-            f"duplicates={stats.chaos_duplicates}  "
-            f"stale_reroutes={stats.chaos_stale_reroutes}  "
-            f"hops_sum={stats.chaos_hops_sum}"
+            f"  recovery:   retries={total('chaos_run', 'retries')}  "
+            f"duplicates={total('chaos_run', 'duplicates')}  "
+            f"stale_reroutes={total('chaos_run', 'stale_reroutes')}  "
+            f"hops_sum={total('chaos_run', 'hops')}"
         )
-        if stats.chaos_latency_count:
+        latencies = stats.present("chaos_run", "latency")
+        if latencies:
             lines.append(
-                f"  latency:    mean={stats.chaos_latency_mean:.3f} ticks "
-                f"over {stats.chaos_latency_count} deliveries"
+                f"  latency:    mean="
+                f"{total('chaos_run', 'latency') / latencies:.3f} ticks "
+                f"over {latencies} deliveries"
             )
     if stats.sweep_trials:
         lines.append(
-            f"sweeps: {stats.sweep_trials} trials / {stats.sweep_chunks} "
-            f"chunks in {stats.sweep_elapsed_s:.3f}s busy "
+            f"sweeps: {stats.sweep_trials} trials / "
+            f"{total('sweep', 'chunks')} chunks in "
+            f"{total('sweep', 'elapsed_s'):.3f}s busy "
             f"-> {stats.sweep_trials_per_s:,.0f} trials/s "
-            f"(jobs<={stats.sweep_jobs_max})"
+            f"(jobs<={stats.max('sweep', 'jobs')})"
         )
     if stats.metrics_snapshot:
         counters = stats.metrics_snapshot.get("counters", {})

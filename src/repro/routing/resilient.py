@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..chaos import ChaosController, ChaosPlan, check_chaos_invariants
 from ..core.fault_models import RngLike, as_rng
-from ..obs.instruments import record_chaos_run
+from ..obs.instruments import record
 from ..results import base_record
 from ..safety.dynamic import IncrementalLevelView
 from ..safety.levels import SafetyLevels
@@ -762,7 +762,7 @@ def route_unicast_resilient(
         detail=detail,
     )
     check_chaos_invariants(result, topo, faults)
-    record_chaos_run(result.chaos_record())
+    record("chaos_run", **result.chaos_record())
     if strict and not delivered:
         raise DeliveryTimeout(
             f"unicast {topo.format_node(source)} -> "

@@ -35,7 +35,8 @@ and counts the fallback for observability.
 
 The engine reports per-delta :class:`DeltaStats` to the observability
 registry (``safety.incremental_*`` counters, dirty-set and wave
-histograms) via :func:`repro.obs.instruments.record_incremental_update`.
+histograms, ``incremental_update`` events) as the
+``incremental_update`` signal of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
-from ..obs.instruments import record_incremental_update
+from ..obs.instruments import record
 
 __all__ = ["DeltaStats", "IncrementalLevelEngine"]
 
@@ -212,7 +213,7 @@ class IncrementalLevelEngine:
         self.updates += 1
         self.gs_rounds += stats.rounds
         self.gs_messages += stats.messages
-        record_incremental_update(self._n, stats)
+        record("incremental_update", n=self._n, **vars(stats))
         return stats
 
     def _waves(self, seed: np.ndarray) -> Tuple[int, int, int, int]:

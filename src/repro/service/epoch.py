@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
-from ..obs.instruments import record_epoch_swap
+from ..obs.instruments import record
 from ..routing.batch import _PACKED_MAX_DIMENSION, pack_neighbor_levels
 from ..safety.incremental import DeltaStats, IncrementalLevelEngine
 
@@ -140,10 +140,11 @@ class EpochManager:
             flip_start = time.perf_counter()
             self._current = view
             flip_us = int((time.perf_counter() - flip_start) * 1e6)
-        record_epoch_swap(
-            n=self.topo.dimension, epoch=view.epoch, added=stats.added,
-            removed=stats.removed, faults=len(view.faults.nodes),
-            publish_us=publish_us, fallback=stats.fallback, flip_us=flip_us,
+        record(
+            "epoch_swap", n=self.topo.dimension, epoch=view.epoch,
+            added=stats.added, removed=stats.removed,
+            faults=len(view.faults.nodes), publish_us=publish_us,
+            fallback=stats.fallback, spare=True, flip_us=flip_us,
         )
         return EpochSwap(epoch=view.epoch, stats=stats,
                          publish_us=publish_us, flip_us=flip_us)

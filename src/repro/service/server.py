@@ -59,7 +59,7 @@ import json
 from typing import List, Optional, Tuple
 
 from . import wire
-from ..obs.instruments import record_wire_frame
+from ..obs.instruments import record
 from .batcher import check_endpoints
 from .shard import OverloadError, ShardDownError, ShardRetryError, \
     ShardRouter, TenantMovedError, UnknownTenantError
@@ -180,7 +180,8 @@ async def _run_frame(
     except Exception as exc:  # dispatch must never kill the session
         error = True
         reply_op, reply = wire.OP_ERROR, wire.encode_error(*_error_of(exc))
-    record_wire_frame(op, len(payload), error=error)
+    record("wire_frame", frames=1, errors=int(error),
+           payload_len=len(payload))
     await _send(writer, write_lock, wire.encode_frame(reply_op, req_id, reply))
 
 
@@ -210,7 +211,8 @@ async def _answer_run(
             src, dst = wire.decode_route(payload)
             check_endpoints(src, dst)
         except (wire.WireError, ValueError) as exc:
-            record_wire_frame(wire.OP_ROUTE, len(payload), error=True)
+            record("wire_frame", frames=1, errors=1,
+                   payload_len=len(payload))
             out.append(wire.encode_frame(wire.OP_ERROR, req_id,
                                          wire.encode_error(*_error_of(exc))))
         else:
@@ -236,9 +238,8 @@ async def _answer_run(
             error = wire.encode_error(*_error_of(refusal))
             out += [wire.encode_frame(wire.OP_ERROR, req_id, error)
                     for req_id in ids[len(rows):]]
-        for k in range(len(ids)):
-            record_wire_frame(wire.OP_ROUTE, wire._ROUTE.size,
-                              error=k >= len(rows))
+        record("wire_frame", frames=len(ids), errors=len(ids) - len(rows),
+               payload_len=wire._ROUTE.size)
     await _send(writer, write_lock, b"".join(out))
 
 

@@ -52,8 +52,7 @@ import numpy as np
 
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
-from ..obs.instruments import metrics, record_block_submission, \
-    record_service_batch
+from ..obs.instruments import record
 from ..routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE
 from .batcher import MicroBatcher, PendingEntry
 from .epoch import EpochManager, EpochSwap
@@ -305,7 +304,7 @@ class RoutingService:
         or lists of ints; a one-row block waits in the window like
         :meth:`route`.
         """
-        record_block_submission(len(srcs))
+        record("block_submission", pairs=len(srcs))
         return await self.batcher.submit_block(srcs, dsts)
 
     async def inject_faults(
@@ -365,9 +364,7 @@ class RoutingService:
                 # Cannot happen: the view is the epoch's own sealed
                 # table.  The counter existing (and staying 0) is the
                 # audit trail the benchmark and smoke job assert on.
-                reg = metrics()
-                if reg.enabled:
-                    reg.counter("service.torn_reads").inc()
+                record("torn_read")
                 raise
             status[rows] = k_status.astype(np.uint8)
             condition[rows] = k_condition.astype(np.uint8)
@@ -383,8 +380,8 @@ class RoutingService:
         self.responses += total
         self.rejected += rejected
         exec_us = (time.perf_counter_ns() - start_ns) // 1000
-        record_service_batch(
-            n=self.topo.dimension, epoch=view.epoch, routes=int(keep.size),
-            rejected=rejected, queue_us=int(queue_us), exec_us=int(exec_us),
-            entries=len(batch),
+        record(
+            "service_batch", n=self.topo.dimension, epoch=view.epoch,
+            routes=int(keep.size), rejected=rejected, backend="inline",
+            queue_us=int(queue_us), exec_us=int(exec_us), entries=len(batch),
         )

@@ -65,12 +65,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Sequence, \
     Tuple
 
 from ..core.faults import FaultSet
-from ..obs.instruments import (
-    record_shard_down,
-    record_shard_failover,
-    record_shard_request,
-    record_shed_request,
-)
+from ..obs.instruments import record
 from .epoch import EpochSwap
 from .service import BlockResponse, RoutingService, ServiceConfig, \
     ServiceResponse
@@ -380,13 +375,13 @@ class ShardRouter:
         sid = self.shard_of(tenant)
         shard = self.shards[sid]
         if not shard.alive:
-            record_shard_request(tenant, routes=0, error=True)
+            record("shard_request", errors=1)
             raise self._translate_down(tenant, ShardDownError(
                 f"tenant {tenant!r} is on shard {sid}, which is down"))
         if not shard.responsive:
             # Crashed but not yet confirmed dead: the only honest answer
             # is "retry" — the detector will rule, then failover moves us.
-            record_shard_request(tenant, routes=0, error=True)
+            record("shard_request", errors=1)
             raise self._translate_down(tenant, ShardRetryError(
                 f"tenant {tenant!r} is on shard {sid}, "
                 f"which stopped responding"))
@@ -431,8 +426,8 @@ class ShardRouter:
             admitted = max(0, limit - current) if singles else 0
             shed = rows - admitted if singles else 1
             self.shed += shed
-            for _ in range(shed):
-                record_shed_request(tenant, rows=1 if singles else rows)
+            record("shed_request", requests=shed,
+                   rows=1 if singles else rows)
         if not admitted:
             raise OverloadError(
                 f"tenant {tenant!r} over its admission budget "
@@ -496,11 +491,11 @@ class ShardRouter:
         try:
             result = await call(svc, admitted)
         except Exception as exc:
-            record_shard_request(tenant, routes=0, error=True)
+            record("shard_request", errors=1)
             raise self._died_under(tenant, sid, exc) from None
         finally:
             self._release(tenant, admitted)
-        record_shard_request(tenant, routes=admitted)
+        record("shard_request", routes=admitted)
         return result
 
     async def route(self, tenant: str, src: int, dst: int) -> ServiceResponse:
@@ -633,7 +628,7 @@ class ShardRouter:
         downed = sorted(shard.tenants)
         if not already_halted:
             await self._halt_tenants(shard, retryable=retryable)
-        record_shard_down(shard_id, tenants=len(downed))
+        record("shard_down", tenants=len(downed))
         return downed
 
     async def kill_shard(
@@ -713,10 +708,9 @@ class ShardRouter:
             moved=moved, epochs_replayed=epochs_replayed,
             failover_ms=failover_ms)
         self.failovers.append(report)
-        record_shard_failover(
-            shard_id, tenants=len(names), moved=len(moved),
-            failover_ms=failover_ms, epochs_replayed=epochs_replayed,
-            detected=detected)
+        record("shard_failover", shard=shard_id, tenants=len(names),
+               moved=len(moved), failover_ms=round(failover_ms, 3),
+               epochs_replayed=epochs_replayed, detected=detected)
         return report
 
     def journal_of(self, tenant: str) -> TenantJournal:

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.faults import FaultSet, normalize_link
 from ..core.topology import Topology
-from ..obs.instruments import record_sim_drop
+from ..obs.instruments import record
 from .engine import Engine
 from .errors import InjectionError, ProtocolError, SimError
 from .message import (
@@ -302,7 +302,7 @@ class Network:
 
     def _drop(self, msg: Message, reason: str, now: int) -> None:
         self.stats.record_drop(reason)
-        record_sim_drop(reason)
+        record("sim_drop", reason=reason)
         self.dropped.append(DroppedMessage(message=msg, reason=reason, time=now))
         self.trace.record(now, "drop", msg.dst, (reason, msg))
 

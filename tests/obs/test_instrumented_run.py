@@ -111,7 +111,7 @@ class TestStatsRoundTrip:
         # Sweep throughput telemetry covers the same trials.
         assert stats.sweep_trials == trials * len(fault_counts)
         assert stats.event_counts["sweep"] == len(fault_counts)
-        assert stats.sweep_elapsed_s > 0
+        assert stats.sum("sweep", "elapsed_s") > 0
         assert stats.sweep_trials_per_s > 0
 
     def test_snapshot_preregisters_standard_counters(self, tmp_path):

@@ -9,6 +9,7 @@ from repro.obs import (
     EVENT_TYPES,
     RunRecorder,
     SCHEMA_VERSION,
+    SIGNALS,
     SchemaError,
     read_events,
     summarize_run,
@@ -157,6 +158,38 @@ class TestStreamValidation:
     def test_every_event_type_has_required_fields_declared(self):
         for etype, spec in EVENT_TYPES.items():
             assert any(spec.values()), f"{etype} declares no required field"
+
+
+class TestSignalSpec:
+    """The spec's value domains are copies of facts owned elsewhere."""
+
+    def test_keyed_counter_domains_match_their_sources(self):
+        from repro.routing.result import RouteStatus, SourceCondition
+        from repro.simcore import message
+
+        statuses = {s.value for s in RouteStatus}
+        conditions = {c.value for c in SourceCondition}
+        drops = {message.DROP_FAULTY_NODE, message.DROP_FAULTY_LINK,
+                 message.DROP_LINK_DOWN, message.DROP_CHAOS}
+        for kind, field, want in (
+                ("route_attempt", "status", statuses),
+                ("route_attempt", "condition", conditions),
+                ("routing_batch", "statuses", statuses),
+                ("routing_batch", "conditions", conditions),
+                ("sim_drop", "reason", drops)):
+            assert set(SIGNALS[kind].domains[field]) == want, (kind, field)
+
+    def test_every_metric_reads_a_declared_field(self):
+        for kind, signal in SIGNALS.items():
+            for metric in signal.metrics:
+                _prefix, _, key = metric.name.partition("{")
+                by = (metric.by,) if isinstance(metric.by, str) else (
+                    metric.by or ())
+                named = [f for f in (*by, metric.weight, key[:-1]) if f]
+                if signal.fields:
+                    assert set(named) <= set(signal.fields), (kind, metric)
+                if key:
+                    assert key[:-1] in signal.domains, (kind, metric)
 
 
 class TestConvenienceEmitters:

@@ -286,12 +286,13 @@ class TestObservability:
         assert counters["routing.batch_routes"] == 64
         assert counters["route.attempts"] == 64
         stats = summarize_run(out)
-        assert stats.routing_batches == 1
-        assert stats.routing_batch_routes == 64
-        assert stats.routing_kernels == {"vectorized": 1}
-        assert stats.route_status == batch.status_counts()
-        assert stats.route_conditions == batch.condition_counts()
-        assert stats.route_hops_sum == int(batch.hops.sum())
+        assert stats.count("routing_batch") == 1
+        assert stats.sum("routing_batch", "routes") == 64
+        assert stats.tally("routing_batch", "kernel") == {"vectorized": 1}
+        assert stats.tally("routing_batch", "statuses") == batch.status_counts()
+        assert (stats.tally("routing_batch", "conditions")
+                == batch.condition_counts())
+        assert stats.sum("routing_batch", "hops_sum") == int(batch.hops.sum())
 
     def test_silent_when_unobserved(self):
         """No metrics, no recorder -> the hook must not blow up (and the

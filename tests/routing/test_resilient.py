@@ -149,13 +149,16 @@ class TestObservability:
                 outcomes.append(result)
         metrics().reset()
         stats = summarize_run(path)
-        assert stats.chaos_runs == 5
-        assert stats.chaos_delivered == sum(
+        delivered = stats.tally("chaos_run", "status").get("delivered", 0)
+        assert stats.count("chaos_run") == 5
+        assert delivered == sum(
             1 for r in outcomes if r.status == "delivered")
-        assert stats.chaos_retries == sum(r.retries for r in outcomes)
-        assert stats.chaos_node_kills == sum(r.node_kills for r in outcomes)
-        assert stats.chaos_hops_sum == sum(r.hops for r in outcomes)
-        assert stats.chaos_latency_count == stats.chaos_delivered
+        assert stats.sum("chaos_run", "retries") == sum(
+            r.retries for r in outcomes)
+        assert stats.sum("chaos_run", "node_kills") == sum(
+            r.node_kills for r in outcomes)
+        assert stats.sum("chaos_run", "hops") == sum(r.hops for r in outcomes)
+        assert stats.present("chaos_run", "latency") == delivered
 
     def test_chaos_record_schema_fields(self):
         sl, source, dest = _instance(4, 1, 3)

@@ -559,9 +559,9 @@ class TestFailoverTelemetry:
         assert ev["failover_ms"] > 0
 
         stats = summarize_run(path)
-        assert stats.shard_failovers == 1
-        assert stats.failover_tenants_moved == 1
-        assert stats.failover_detected == {"injected": 1}
+        assert stats.count("shard_failover") == 1
+        assert stats.sum("shard_failover", "moved") == 1
+        assert stats.tally("shard_failover", "detected") == {"injected": 1}
         rendered = render_stats(stats)
         assert "failover: 1 shard deaths" in rendered
         assert "tenants_moved=1" in rendered

@@ -285,3 +285,60 @@ class TestOneErrorTable:
         frame, line = _serve(PORT + 7, run)
         assert frame.code == line["code"] == code
         assert str(exc) in frame.message and str(exc) in line["error"]
+
+
+class _Sink:
+    """The writer side of a connection, keeping what was written."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+
+class TestWireCounters:
+    def test_route_run_counts_every_frame_once(self):
+        """A ROUTE run of one undecodable frame and two routable ones
+        against a one-row admission budget: three frames, two answered
+        with an error (the undecodable and the shed), every payload
+        observed once."""
+        from repro.obs import metrics, observed
+        from repro.service.server import _answer_run
+
+        run = [(1, b"\x00\x01\x02"),
+               (2, wire.encode_route(1, 30)),
+               (3, wire.encode_route(2, 29))]
+
+        async def main():
+            async with ShardRouter(shards=1, window_us=100,
+                                   max_tenant_inflight=1) as router:
+                await router.add_tenant("default", dimension=N,
+                                        faults=FAULTS)
+                sink = _Sink()
+                await _answer_run(router, {"tenant": "default"}, run,
+                                  sink, asyncio.Lock())
+                return sink.data
+
+        with observed() as (reg, _rec):
+            data = asyncio.run(main())
+            counters = reg.counter_values()
+            payload = reg.histogram("service.wire_payload").snapshot()
+        metrics().reset()
+        ops, at = [], 0
+        while at < len(data):
+            _magic, op, length, req_id = wire.HEADER.unpack_from(data, at)
+            ops.append((req_id, op))
+            at += wire.HEADER.size + length
+        assert sorted(ops) == [(1, wire.OP_ERROR), (2, wire.OP_ROUTE_R),
+                               (3, wire.OP_ERROR)]
+        assert counters["service.wire_frames"] == 3
+        assert counters["service.wire_errors"] == 2
+        assert counters["service.shed_requests"] == 1
+        assert counters["shard.requests"] == 1
+        assert payload["count"] == 3
+        assert payload["sum"] == 3 + 2 * 16
+        assert payload["min"] == 3 and payload["max"] == 16

@@ -574,9 +574,10 @@ class TestTelemetry:
         assert counters["service.torn_reads"] == 0
 
         stats = obs.summarize_run(out)
-        assert stats.service_requests == 60
-        assert stats.service_batches == counters["service.batches"]
-        assert stats.epoch_swaps == 1
+        assert (stats.sum("service_batch", "routes")
+                + stats.sum("service_batch", "rejected")) == 60
+        assert stats.count("service_batch") == counters["service.batches"]
+        assert stats.count("epoch_swap") == 1
         rendered = obs.render_stats(stats)
         assert "service:" in rendered
         assert "micro-batches" in rendered
