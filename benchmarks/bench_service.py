@@ -69,7 +69,7 @@ from repro.analysis.failover_soak import draw_workload, run_failover_soak, \
 from repro.core.faults import FaultSet
 from repro.core.hypercube import Hypercube
 from repro.routing.batch import _CONDITION_BY_CODE, _STATUS_BY_CODE, \
-    pack_neighbor_levels, route_unicast_batch, route_with_table
+    route_unicast_batch, route_with_table
 from repro.safety.levels import compute_safety_levels
 from repro.service import RoutingService, ServiceConfig, ServiceResponse, \
     ShardRouter, TornTableError
@@ -223,14 +223,12 @@ def _offline_rps(
     per block: the kernel's own rate, the ceiling the sharded figure is
     held against.  Best of :data:`_OFFLINE_REPEATS` passes."""
     levels = np.asarray(compute_safety_levels(topo, faults), dtype=np.int8)
-    packed = pack_neighbor_levels(levels, topo.dimension)
     routed = sum(len(srcs) for _, srcs, _ in blocks)
     best = float("inf")
     for _ in range(_OFFLINE_REPEATS):
         start = time.perf_counter()
         for _, srcs, dsts in blocks:
-            route_with_table(topo, levels, packed, srcs[None, :],
-                             dsts[None, :])
+            route_with_table(topo, levels, srcs[None, :], dsts[None, :])
         best = min(best, time.perf_counter() - start)
     return routed / best
 

@@ -23,7 +23,6 @@ from .contention import (
     make_sidetrack_policy,
 )
 from .multicast_experiment import multicast_table
-from .parallel import fig2_series_parallel, parallel_points
 from .reporting import load_payload, save_artifact, to_payload
 from .volume import route_volume_words, volume_table
 from .worstcase import find_slow_instance, isolation_cascade_instance
@@ -102,8 +101,6 @@ __all__ = [
     "make_safety_policy",
     "make_sidetrack_policy",
     "multicast_table",
-    "fig2_series_parallel",
-    "parallel_points",
     "load_payload",
     "save_artifact",
     "to_payload",

@@ -136,8 +136,8 @@ SIGNALS: Dict[str, Signal] = {
             "trials": True,        # level-matrix rows in this call
             "pairs": True,         # routes per trial
             "routes": True,        # trials * pairs
-            "tie_break": True,     # lowest-dim / highest-dim / random
-            "kernel": True,        # "vectorized" | "scalar"
+            "tie_break": True,     # lowest-dim / highest-dim
+            "kernel": True,        # "vectorized"
             "statuses": True,      # {RouteStatus value -> route count}
             "conditions": True,    # {C1/C2/C3/none -> route count}
             "hops_sum": True,      # total links traversed across the batch

@@ -93,11 +93,16 @@ def observed(
 ) -> Iterator[Tuple[MetricsRegistry, Optional[RunRecorder]]]:
     """Enable metrics (and optionally a JSONL recorder) for a code block.
 
-    On exit the previous enabled/recorder state is restored; if a recorder
-    was opened, a final ``metrics_snapshot`` is appended before the
-    ``run_end`` record, so every ``observed`` stream is self-contained.
+    A top-level block starts from an empty registry, so its counts are
+    its own run's; a block nested in another keeps counting into the
+    outer run.  On exit the previous enabled/recorder state is restored;
+    if a recorder was opened, a final ``metrics_snapshot`` is appended
+    before the ``run_end`` record, so every ``observed`` stream is
+    self-contained.
     """
     was_enabled = _METRICS.enabled
+    if not was_enabled:
+        _METRICS.reset()
     registry = enable_metrics()
     recorder = (
         RunRecorder(metrics_out, tool=tool, config=config)

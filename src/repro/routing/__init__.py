@@ -7,9 +7,9 @@ Entry points:
 * :func:`route_unicast_distributed` — the same protocol executed by node
   processes on the simulator.
 * :func:`check_feasibility` — the source-side C1/C2/C3 tests alone.
-* :func:`route_unicast_batch` / :func:`check_feasibility_batch` — the same
-  algorithm vectorized over whole (trials × pairs) route matrices,
-  bit-identical to the scalar walk (see :mod:`repro.routing.batch`).
+* :func:`route_unicast_batch` — the same algorithm vectorized over whole
+  (trials × pairs) route matrices, bit-identical to the scalar walk and
+  to :func:`check_feasibility` (see :mod:`repro.routing.batch`).
 * :func:`route_unicast_resilient` — the distributed protocol hardened
   with hop ACKs, retries, and reconvergence for mid-flight faults (see
   :mod:`repro.routing.resilient` and the chaos harness).
@@ -21,12 +21,7 @@ Entry points:
 
 from . import navigation
 from .adaptive import AdaptiveRouteOutcome, route_unicast_adaptive
-from .batch import (
-    BatchFeasibility,
-    BatchRouteResult,
-    check_feasibility_batch,
-    route_unicast_batch,
-)
+from .batch import BatchRouteResult, route_unicast_batch
 from .baselines import (
     route_chiu_wu_style,
     route_dfs,
@@ -84,9 +79,7 @@ __all__ = [
     "Feasibility",
     "check_feasibility",
     "route_unicast",
-    "BatchFeasibility",
     "BatchRouteResult",
-    "check_feasibility_batch",
     "route_unicast_batch",
     "assert_compliant",
     "audit_route",

@@ -8,12 +8,12 @@ algorithm for whole ``(trials, pairs)`` matrices at once, on top of the
 stacked level matrices that :func:`repro.safety.levels.
 compute_safety_levels_batch` already produces:
 
-* the C1/C2/C3 source conditions are computed for every route in a few
-  vectorized gathers through the shared :func:`repro.core.hypercube.
-  neighbor_table` XOR index matrix;
-* preferred/spare "neighbor with the highest safety level" picks are
-  masked argmax reductions whose first/last-maximum behaviour reproduces
-  the ``lowest-dim``/``highest-dim`` tie-break policies exactly;
+* every step reads a node's ``n`` neighbor levels with one gather,
+  ``levels[(row + node) ^ (1 << dims)]``, straight off the level matrix
+  (rows start at multiples of ``2**n``, so the XOR stays in the row);
+* preferred/spare "neighbor with the highest safety level" picks are one
+  integer max over keys ``level << 5 | code``, where the dimension code
+  orders ties exactly as the ``lowest-dim``/``highest-dim`` policies do;
 * the walk advances every in-flight route lock-step, one hop per
   iteration, with finished/stuck routes dropping out of the active set —
   at most ``n + 2`` iterations total, since C1/C2 paths have length
@@ -24,14 +24,12 @@ source, destination): same status, same admitting condition, same hop
 count, same node path.  The equivalence is enforced by the test suite and
 re-asserted by ``benchmarks/bench_routing_throughput.py`` on every run.
 
-``tie_break="random"`` draws from a single shared generator in an order
-that vectorization cannot reproduce, so it runs the scalar reference
-implementation instead (one :func:`_route_unicast` per route, in
-row-major order — document draws stay with the scalar router).
+Only the deterministic tie-breaks batch: ``tie_break="random"`` draws
+from a caller-owned generator, route by route, so it stays with scalar
+:func:`~repro.routing.safety_unicast.route_unicast`.
 
 :func:`route_with_table` is the routing service's entry point: the same
-lock-step walk, reading each node's neighbor levels from one
-precomputed :func:`pack_neighbor_levels` word per step.
+walk over one epoch's sealed level vector.
 """
 
 from __future__ import annotations
@@ -42,27 +40,18 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core import bits
-from ..core.fault_models import RngLike, as_rng
-from ..core.faults import FaultSet
-from ..core.hypercube import Hypercube, neighbor_table
+from ..core.hypercube import Hypercube
 from ..obs.instruments import record_routing_batch
 from ..safety.levels import SafetyLevels
 from . import navigation as nav
 from .result import RouteResult, RouteStatus, SourceCondition
-from .safety_unicast import ROUTER_NAME, _route_unicast
+from .safety_unicast import ROUTER_NAME
 
 __all__ = [
-    "BatchFeasibility",
     "BatchRouteResult",
-    "check_feasibility_batch",
-    "pack_neighbor_levels",
     "route_unicast_batch",
     "route_with_table",
 ]
-
-#: Packed neighbor words store one level per 4-bit nibble, so they
-#: require ``n <= 15``; larger cubes gather through the neighbor table.
-_PACKED_MAX_DIMENSION = 15
 
 #: Integer codes used by the batch arrays (stable: tests and telemetry
 #: consumers rely on the order).
@@ -83,27 +72,6 @@ _CONDITION_BY_CODE: Tuple[SourceCondition, ...] = (
 _C1, _C2, _C3, _NONE = 0, 1, 2, 3
 
 _ABORT_DETAIL = "C1, C2 and C3 all fail at the source"
-
-
-@dataclass(frozen=True)
-class BatchFeasibility:
-    """Source-rule outcome for a ``(trials, pairs)`` route matrix.
-
-    ``condition`` holds :data:`SourceCondition` codes (C1=0, C2=1, C3=2,
-    none=3); ``first_dim`` the dimension of the source rule's first hop
-    (-1 where infeasible or source == destination).
-    """
-
-    condition: np.ndarray
-    first_dim: np.ndarray
-
-    @property
-    def feasible(self) -> np.ndarray:
-        """Boolean matrix: some condition admitted the unicast."""
-        return self.condition != _NONE
-
-    def condition_of(self, trial: int, pair: int) -> SourceCondition:
-        return _CONDITION_BY_CODE[int(self.condition[trial, pair])]
 
 
 @dataclass(frozen=True)
@@ -316,95 +284,71 @@ def _normalize_batch(
     return lv, src, dst
 
 
-# -- the packed neighbor-level encoding --------------------------------------
+# -- the neighbor pick ------------------------------------------------------
+
+#: Pick keys hold a neighbor's level above a 5-bit dimension code, so one
+#: integer max picks the highest level and breaks ties by dimension; 5
+#: bits cover every dimension up to ``bits.MAX_DIMENSION``.
+_CODE_BITS = 5
+_CODE_MASK = (1 << _CODE_BITS) - 1
+
+#: code = dim ^ flip: ``lowest-dim`` reverses the dimension order so the
+#: max lands on the lowest maximal dimension, ``highest-dim`` keeps it.
+_CODE_FLIP = {"lowest-dim": _CODE_MASK, "highest-dim": 0}
 
 
-def _unpack_words(words: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """``(R,)`` packed words -> ``(R, n)`` int8 neighbor-level matrix."""
-    return ((words[:, None] >> shifts) & 0xF).astype(np.int8)
-
-
-def pack_neighbor_levels(levels: np.ndarray, n: int) -> np.ndarray:
-    """One epoch's ``(2**n,)`` level vector -> packed neighbor words.
-
-    The precompute-once half of the packed-word walk: node ``v``'s word
-    holds neighbor ``j``'s level in nibble ``j``, so a route step reads a
-    single int64 instead of gathering ``n`` levels.  The routing service
-    seals exactly this array (alongside the raw levels) into each
-    epoch's read-only table, paying the ``n`` full-cube gathers once per
-    *fault epoch* rather than once per batch call.  Requires
-    ``n <= 15`` (levels ``<= n`` must fit a 4-bit nibble).
-    """
-    if n > _PACKED_MAX_DIMENSION:
+def _code_flip(tie_break: str) -> int:
+    try:
+        return _CODE_FLIP[tie_break]
+    except KeyError:
         raise ValueError(
-            f"packed neighbor words need n <= {_PACKED_MAX_DIMENSION} "
-            f"(4-bit level nibbles), got n={n}"
-        )
-    lv = np.asarray(levels)
-    if lv.ndim != 1 or lv.shape[0] != (1 << n):
-        raise ValueError(
-            f"levels must be one ({1 << n},) epoch vector, got {lv.shape}"
-        )
-    table = neighbor_table(n)
-    words = np.zeros(lv.shape, dtype=np.int64)
-    for j in range(n):
-        words |= lv[table[:, j]].astype(np.int64) << (4 * j)
-    return words
+            f"the batched walk takes tie_break 'lowest-dim' or "
+            f"'highest-dim', got {tie_break!r}; route 'random' ties with "
+            f"scalar route_unicast, whose draws come from a caller-owned "
+            f"generator"
+        ) from None
+
+
+def _neighbor_keys(
+    lv_flat: np.ndarray, at: np.ndarray, steps: np.ndarray, code: np.ndarray
+) -> np.ndarray:
+    """``(R, n)`` pick keys ``level << 5 | code`` of the neighbors of the
+    flat nodes ``at`` (trial row offset plus node).  Row offsets are
+    multiples of ``2**n``, so flipping a dimension bit stays in the row."""
+    nbr = lv_flat[at[:, None] ^ steps].astype(np.int16)
+    return (nbr << _CODE_BITS) | code
+
+
+def _pick(
+    keys: np.ndarray, allowed: np.ndarray, flip: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row: (dim, level) of the highest-level *allowed* neighbor,
+    tie-broken by the key's dimension code.  Rows with nothing allowed
+    report level -1."""
+    best = np.where(allowed, keys, np.int16(-1)).max(axis=1)
+    return ((best & _CODE_MASK) ^ flip).astype(np.int64), best >> _CODE_BITS
 
 
 # -- the vectorized source rule ---------------------------------------------
 
 
-def _masked_argmax(
-    values: np.ndarray, mask: np.ndarray, tie_break: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row (dim, level) of the max *masked* entry, tie-broken.
-
-    ``np.argmax`` returns the first maximal index, which is exactly the
-    ``lowest-dim`` policy; ``highest-dim`` reduces over the reversed
-    column order instead.  Rows whose mask is empty report level -1.
-    """
-    masked = np.where(mask, values, np.int8(-1))
-    if tie_break == "lowest-dim":
-        dims = np.argmax(masked, axis=1)
-    elif tie_break == "highest-dim":
-        dims = masked.shape[1] - 1 - np.argmax(masked[:, ::-1], axis=1)
-    else:
-        raise ValueError(
-            f"vectorized kernel supports deterministic tie-breaks only, "
-            f"got {tie_break!r}"
-        )
-    levels = np.take_along_axis(masked, dims[:, None], axis=1)[:, 0]
-    return dims.astype(np.int64), levels
-
-
 def _source_rule(
     lv_flat: np.ndarray,
     base: np.ndarray,
-    table: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
-    n: int,
-    tie_break: str,
-    pn_flat: Optional[np.ndarray] = None,
-    shifts: Optional[np.ndarray] = None,
+    steps: np.ndarray,
+    code: np.ndarray,
+    flip: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat C1/C2/C3 evaluation; returns (h, condition, first_dim).
-
-    With ``pn_flat``/``shifts`` the neighbor levels come from one packed
-    word per source instead of ``n`` gathers (:func:`route_with_table`'s
-    path); the decision logic is shared either way.
-    """
+    """Flat C1/C2/C3 evaluation; returns (h, condition, first_dim)."""
     nvec = src ^ dst
     h = bits.popcount_array(nvec)
     own = lv_flat[base + src]
-    if pn_flat is not None:
-        nbr = _unpack_words(pn_flat[base + src], shifts)
-    else:
-        nbr = lv_flat[base[:, None] + table[src]]      # (R, n) levels
-    pref = ((nvec[:, None] >> np.arange(n)) & 1).astype(bool)
-    pdim, plev = _masked_argmax(nbr, pref, tie_break)
-    sdim, slev = _masked_argmax(nbr, ~pref, tie_break)
+    keys = _neighbor_keys(lv_flat, base + src, steps, code)
+    pref = (nvec[:, None] & steps) != 0
+    pdim, plev = _pick(keys, pref, flip)
+    sdim, slev = _pick(keys, ~pref, flip)
 
     moving = h > 0
     c1 = moving & (own >= h)
@@ -424,40 +368,6 @@ def _source_rule(
     return h, condition, first_dim
 
 
-def check_feasibility_batch(
-    topo: Hypercube,
-    levels: Union[SafetyLevels, np.ndarray],
-    sources, dests,
-    tie_break: nav.TieBreak = "lowest-dim",
-) -> BatchFeasibility:
-    """The paper's C1/C2/C3 source tests for a whole route matrix.
-
-    ``levels`` is a :class:`SafetyLevels`, a ``(2**n,)`` vector, or the
-    ``(B, 2**n)`` matrix from :func:`compute_safety_levels_batch`;
-    ``sources``/``dests`` broadcast to ``(B, pairs)``.  Per route the
-    outcome equals scalar :func:`check_feasibility` under the same
-    deterministic tie-break (``"random"`` is scalar-only — its draws
-    belong to a caller-owned generator).
-    """
-    lv, src, dst = _normalize_batch(topo, levels, sources, dests)
-    if tie_break == "random":
-        raise ValueError(
-            "check_feasibility_batch is deterministic; use scalar "
-            "check_feasibility for the random tie-break policy"
-        )
-    n = topo.dimension
-    batch, pairs = src.shape
-    base = np.repeat(np.arange(batch, dtype=np.int64) * topo.num_nodes,
-                     pairs)
-    lv_flat = np.ascontiguousarray(lv, dtype=np.int8).reshape(-1)
-    _h, condition, first_dim = _source_rule(
-        lv_flat, base, neighbor_table(n), src.reshape(-1), dst.reshape(-1),
-        n, tie_break,
-    )
-    return BatchFeasibility(condition=condition.reshape(batch, pairs),
-                            first_dim=first_dim.reshape(batch, pairs))
-
-
 # -- the batched walk --------------------------------------------------------
 
 
@@ -468,8 +378,8 @@ def _route_batch_vectorized(
     dst2d: np.ndarray,
     tie_break: str,
     return_paths: bool,
-    pn_flat: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
+    flip = _code_flip(tie_break)
     n, num_nodes = topo.dimension, topo.num_nodes
     batch, pairs = src2d.shape
     routes = batch * pairs
@@ -477,13 +387,12 @@ def _route_batch_vectorized(
     dst = dst2d.reshape(routes)
     base = np.repeat(np.arange(batch, dtype=np.int64) * num_nodes, pairs)
     lv_flat = np.ascontiguousarray(lv, dtype=np.int8).reshape(-1)
-    table = neighbor_table(n)
-    dims_range = np.arange(n, dtype=np.int64)
-    shifts = 4 * dims_range if pn_flat is not None else None
+    dims = np.arange(n, dtype=np.int64)
+    steps = np.int64(1) << dims
+    code = (dims ^ flip).astype(np.int16)
 
     h, condition, first_dim = _source_rule(
-        lv_flat, base, table, src, dst, n, tie_break,
-        pn_flat=pn_flat, shifts=shifts)
+        lv_flat, base, src, dst, steps, code, flip)
 
     status = np.full(routes, _PENDING, dtype=np.int8)
     status[h == 0] = _DELIVERED
@@ -520,12 +429,8 @@ def _route_batch_vectorized(
             break
         a_cur = cur[active]
         a_nav = nvec[active]
-        if pn_flat is not None:
-            nbr = _unpack_words(pn_flat[base[active] + a_cur], shifts)
-        else:
-            nbr = lv_flat[base[active][:, None] + table[a_cur]]
-        pref = ((a_nav[:, None] >> dims_range) & 1).astype(bool)
-        dim, lev = _masked_argmax(nbr, pref, tie_break)
+        keys = _neighbor_keys(lv_flat, base[active] + a_cur, steps, code)
+        dim, lev = _pick(keys, (a_nav[:, None] & steps) != 0, flip)
         step = np.int64(1) << dim
         nxt = a_cur ^ step
         # Defensive STUCK check, mirroring the scalar walk: impossible
@@ -560,49 +465,23 @@ def _route_batch_vectorized(
     )
 
 
-def _route_batch_scalar(
+def _batch_result(
     topo: Hypercube,
     lv: np.ndarray,
-    src2d: np.ndarray,
-    dst2d: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
     tie_break: str,
-    rng: RngLike,
     return_paths: bool,
-) -> Tuple[np.ndarray, ...]:
-    """Reference kernel: one scalar walk per route, row-major order.
-
-    Used for ``tie_break="random"``: draws happen pair after pair from
-    the shared generator, trial 0 pair 0 first.
-    """
-    n = topo.dimension
-    batch, pairs = src2d.shape
-    gen = as_rng(rng) if tie_break == "random" else None
-    hamming = np.zeros((batch, pairs), dtype=np.int64)
-    status = np.empty((batch, pairs), dtype=np.int8)
-    condition = np.empty((batch, pairs), dtype=np.int8)
-    first_dim = np.full((batch, pairs), -1, dtype=np.int8)
-    hops = np.zeros((batch, pairs), dtype=np.int64)
-    paths = np.full((batch, pairs, n + 3), -1, dtype=np.int32) \
-        if return_paths else None
-    status_code = {s: c for c, s in enumerate(_STATUS_BY_CODE)}
-    condition_code = {s: c for c, s in enumerate(_CONDITION_BY_CODE)}
-    for t in range(batch):
-        row_levels = np.asarray(lv[t], dtype=np.int64)
-        faults = FaultSet(nodes=frozenset(
-            int(v) for v in np.flatnonzero(row_levels == 0)))
-        sl = SafetyLevels(topo=topo, faults=faults, levels=row_levels)
-        for p in range(pairs):
-            res = _route_unicast(sl, int(src2d[t, p]), int(dst2d[t, p]),
-                                 tie_break, gen)
-            hamming[t, p] = res.hamming
-            status[t, p] = status_code[res.status]
-            condition[t, p] = condition_code[res.condition]
-            hops[t, p] = res.hops
-            if res.path and len(res.path) > 1:
-                first_dim[t, p] = (res.path[0] ^ res.path[1]).bit_length() - 1
-            if paths is not None and res.path:
-                paths[t, p, :len(res.path)] = res.path
-    return hamming, status, condition, first_dim, hops, paths
+) -> BatchRouteResult:
+    hamming, status, condition, first_dim, hops, paths = \
+        _route_batch_vectorized(topo, lv, src, dst, tie_break, return_paths)
+    result = BatchRouteResult(
+        topo=topo, tie_break=tie_break, kernel="vectorized",
+        sources=src, dests=dst, hamming=hamming, status=status,
+        condition=condition, first_dim=first_dim, hops=hops, paths=paths,
+    )
+    record_routing_batch(result)
+    return result
 
 
 def route_unicast_batch(
@@ -610,7 +489,6 @@ def route_unicast_batch(
     levels: Union[SafetyLevels, np.ndarray],
     sources, dests,
     tie_break: nav.TieBreak = "lowest-dim",
-    rng: RngLike = None,
     return_paths: bool = False,
 ) -> BatchRouteResult:
     """Route a whole ``(trials, pairs)`` matrix of safety-level unicasts.
@@ -625,54 +503,37 @@ def route_unicast_batch(
 
     Every route's outcome is bit-identical to
     :func:`~repro.routing.safety_unicast.route_unicast` on the same
-    (fault set, source, destination) — status, admitting condition, hop
-    count, and (with ``return_paths=True``) the full node path.
+    (fault set, source, destination) — status, admitting condition,
+    first hop, hop count, and (with ``return_paths=True``) the full node
+    path.  The result's ``condition``/``first_dim`` columns are the
+    source rule's outcome, what scalar
+    :func:`~repro.routing.safety_unicast.check_feasibility` reports.
 
-    Deterministic tie-breaks run the vectorized walk;
-    ``tie_break="random"`` runs the scalar reference so the shared
-    ``rng`` draws pair by pair in row-major order.  One ``routing_batch``
-    telemetry record covers the whole call — batch counters instead of
-    per-attempt events.
+    The tie-break must be deterministic (``lowest-dim`` or
+    ``highest-dim``): ``tie_break="random"`` raises ``ValueError``, since
+    its draws belong to the generator of scalar ``route_unicast``.  One
+    ``routing_batch`` telemetry record covers the whole call — batch
+    counters instead of per-attempt events.
     """
     lv, src, dst = _normalize_batch(topo, levels, sources, dests)
-    if tie_break == "random":
-        chosen = "scalar"
-        hamming, status, condition, first_dim, hops, paths = \
-            _route_batch_scalar(topo, lv, src, dst, tie_break, rng,
-                                return_paths)
-    else:
-        chosen = "vectorized"
-        hamming, status, condition, first_dim, hops, paths = \
-            _route_batch_vectorized(topo, lv, src, dst, tie_break,
-                                    return_paths)
-    result = BatchRouteResult(
-        topo=topo, tie_break=tie_break, kernel=chosen,
-        sources=src, dests=dst, hamming=hamming, status=status,
-        condition=condition, first_dim=first_dim, hops=hops, paths=paths,
-    )
-    record_routing_batch(result)
-    return result
+    return _batch_result(topo, lv, src, dst, tie_break, return_paths)
 
 
 def route_with_table(
     topo: Hypercube,
     levels: np.ndarray,
-    packed: Optional[np.ndarray],
     sources, dests,
     tie_break: nav.TieBreak = "lowest-dim",
     return_paths: bool = False,
 ) -> BatchRouteResult:
-    """Route one epoch's request vector against a precomputed table.
+    """Route one epoch's request vector against its level table.
 
     The routing service's hot path: ``levels`` is a single ``(2**n,)``
-    epoch level vector and ``packed`` the matching
-    :func:`pack_neighbor_levels` words (or ``None`` to gather through the
-    neighbor table instead — the only option for ``n > 15``).  Semantics
-    are exactly ``route_unicast_batch(topo, levels, sources, dests)``
-    with the vectorized kernel — same statuses, conditions, hop counts,
-    and paths, bit for bit — but the per-call neighbor packing is skipped
-    because the table already carries it, which is what makes serving
-    thousands of micro-batches per epoch off one table cheap.
+    epoch level vector (the sealed table of
+    :func:`repro.service.epoch.seal_epoch_table`).  Semantics are exactly
+    ``route_unicast_batch(topo, levels, sources, dests)`` — same
+    statuses, conditions, hop counts, and paths, bit for bit, on the same
+    walk — restricted to one trial row.
 
     Endpoint liveness is validated like the batch entry point (a level-0
     endpoint raises) — service callers pre-filter those requests into
@@ -684,21 +545,4 @@ def route_with_table(
             f"route_with_table serves one epoch at a time; got "
             f"{src.shape[0]} trial rows"
         )
-    pn_flat = None
-    if packed is not None:
-        pn_flat = np.ascontiguousarray(packed, dtype=np.int64).reshape(-1)
-        if pn_flat.shape[0] != topo.num_nodes:
-            raise ValueError(
-                f"packed words must be ({topo.num_nodes},), got "
-                f"{np.asarray(packed).shape}"
-            )
-    hamming, status, condition, first_dim, hops, paths = \
-        _route_batch_vectorized(topo, lv, src, dst, tie_break,
-                                return_paths, pn_flat=pn_flat)
-    result = BatchRouteResult(
-        topo=topo, tie_break=tie_break, kernel="vectorized",
-        sources=src, dests=dst, hamming=hamming, status=status,
-        condition=condition, first_dim=first_dim, hops=hops, paths=paths,
-    )
-    record_routing_batch(result)
-    return result
+    return _batch_result(topo, lv, src, dst, tie_break, return_paths)

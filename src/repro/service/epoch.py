@@ -9,9 +9,9 @@ fault event into the cheapest possible transition:
 
 1. the event's delta re-stabilizes the engine *incrementally* (frontier
    waves over the perturbed neighborhood, not a cold recompute);
-2. :func:`seal_epoch_table` copies the new levels and packs the
-   neighbor words the routing kernel walks on, both as read-only arrays
-   in one :class:`EpochView`;
+2. :func:`seal_epoch_table` copies the new levels into a read-only
+   ``int8`` vector, the one table the routing kernel walks on, held by
+   one :class:`EpochView`;
 3. the manager's ``current`` reference flips to the new view — one
    attribute store, the only instant a reader can observe a swap.
 
@@ -39,7 +39,6 @@ import numpy as np
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
 from ..obs.instruments import record
-from ..routing.batch import _PACKED_MAX_DIMENSION, pack_neighbor_levels
 from ..safety.incremental import DeltaStats, IncrementalLevelEngine
 
 __all__ = ["EpochView", "EpochSwap", "EpochManager", "seal_epoch_table"]
@@ -49,34 +48,26 @@ __all__ = ["EpochView", "EpochSwap", "EpochManager", "seal_epoch_table"]
 class EpochView:
     """One published epoch: its fault set and its read-only level table.
 
-    ``levels`` is int8 (level 0 <=> faulty); ``packed`` holds the
-    :func:`~repro.routing.batch.pack_neighbor_levels` words, or ``None``
-    when ``n > 15`` (the nibbles do not fit).  Neither array is
-    writeable.  The service reads ``levels`` to refuse faulty endpoints
-    before the kernel; the kernel routes off both.
+    ``levels`` is a read-only int8 vector (level 0 <=> faulty).  The
+    service reads it to refuse faulty endpoints before the kernel; the
+    kernel gathers each step's neighbor levels straight from it.
     """
 
     epoch: int
     n: int
     faults: FaultSet
     levels: np.ndarray
-    packed: Optional[np.ndarray]
 
 
 def seal_epoch_table(epoch: int, n: int, levels: np.ndarray,
                      faults: FaultSet) -> EpochView:
-    """Freeze one epoch's table: a private read-only copy of ``levels``
-    plus its packed neighbor words.  Epochs start at 1."""
+    """Freeze one epoch's table: a private read-only int8 copy of
+    ``levels``.  Epochs start at 1."""
     if epoch < 1:
         raise ValueError(f"epochs start at 1, got {epoch}")
     lv = np.array(levels, dtype=np.int8)
     lv.setflags(write=False)
-    packed = None
-    if n <= _PACKED_MAX_DIMENSION:
-        packed = pack_neighbor_levels(lv, n)
-        packed.setflags(write=False)
-    return EpochView(epoch=epoch, n=n, faults=faults, levels=lv,
-                     packed=packed)
+    return EpochView(epoch=epoch, n=n, faults=faults, levels=lv)
 
 
 @dataclass(frozen=True)

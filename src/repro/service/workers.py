@@ -7,12 +7,14 @@ following the block-level-autonomy principle: the service hands
 :class:`~repro.service.epoch.EpochView`, the epoch and dimension it
 expects, the request vectors) and it needs no further coordination to
 execute it.  It never sees the epoch manager, the batcher, or the
-engine; its only shared state is the read-only table it is handed.
+engine; its only shared state is the table it is handed, one read-only
+level vector that :func:`~repro.routing.batch.route_with_table` walks
+as it is.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,14 +31,14 @@ class TornTableError(RuntimeError):
 
 def attach_epoch_table(
     view: EpochView, expect_epoch: int, n: int
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``(levels, packed)`` of ``view``, once it is checked to be the
-    table of epoch ``expect_epoch`` on a Q``n``."""
+) -> np.ndarray:
+    """The level vector of ``view``, once it is checked to be the table
+    of epoch ``expect_epoch`` on a Q``n``."""
     if view.epoch != expect_epoch or view.n != n:
         raise TornTableError(
             f"table mismatch: have epoch {view.epoch} n={view.n}, "
             f"batch wants epoch {expect_epoch} n={n}")
-    return view.levels, view.packed
+    return view.levels
 
 
 def route_task(
@@ -55,9 +57,9 @@ def route_task(
     ``epoch`` is *guaranteed* to have been computed from that epoch's
     table — the no-torn-reads contract.
     """
-    levels, packed = attach_epoch_table(table, epoch, n)
+    levels = attach_epoch_table(table, epoch, n)
     res = route_with_table(
-        Hypercube(n), levels, packed,
+        Hypercube(n), levels,
         np.asarray(sources, dtype=np.int64)[None, :],
         np.asarray(dests, dtype=np.int64)[None, :],
         tie_break=tie_break,

@@ -33,6 +33,7 @@ class TestDisabledDefaults:
         assert active_recorder() is None
 
     def test_hooks_are_noops_when_disabled(self, sl):
+        metrics().reset()  # an earlier run's counts stay until the next
         route_unicast(sl, 0b0000, 0b1111)
         assert metrics().snapshot()["counters"] == {}
 
@@ -42,7 +43,6 @@ class TestDisabledDefaults:
             assert active_recorder() is not None
         assert not metrics().enabled
         assert active_recorder() is None
-        metrics().reset()
 
 
 class TestRouteInstrumentation:
@@ -57,7 +57,6 @@ class TestRouteInstrumentation:
             for s, d in pairs:
                 route_unicast(sl, s, d)
             counters = reg.counter_values()
-        metrics().reset()
         assert counters["route.attempts"] == len(pairs)
         outcome_total = sum(counters.get(k, 0) for k in (
             "route.delivered", "route.aborted_at_source",
@@ -71,7 +70,6 @@ class TestRouteInstrumentation:
         path = tmp_path / "run.jsonl"
         with observed(path):
             result = route_unicast(sl, 0b0000, 0b1111)
-        metrics().reset()
         events = [r for r in read_events(path) if r["type"] == "route_attempt"]
         assert len(events) == 1
         assert events[0]["status"] == result.status.value
@@ -86,7 +84,6 @@ class TestRouteInstrumentation:
         bare = [_route_unicast(levels, alive[0], d) for d in alive[1:]]
         with observed():
             hooked = [route_unicast(levels, alive[0], d) for d in alive[1:]]
-        metrics().reset()
         assert [r.path for r in bare] == [r.path for r in hooked]
 
 
@@ -99,7 +96,6 @@ class TestStatsRoundTrip:
         trials = 40
         with observed(path, tool="test"):
             points = rounds_vs_faults(5, fault_counts, trials, seed=11)
-        metrics().reset()
 
         stats = summarize_run(path)
         # Every kernel trial is in the stream's merged rounds histogram.
@@ -118,7 +114,6 @@ class TestStatsRoundTrip:
         path = tmp_path / "run.jsonl"
         with observed(path):
             rounds_vs_faults(4, [2], 10, seed=3)
-        metrics().reset()
         stats = summarize_run(path)
         counters = stats.metrics_snapshot["counters"]
         for name in STANDARD_COUNTERS:
@@ -132,7 +127,6 @@ class TestStatsRoundTrip:
         with observed(path):
             route_unicast(sl, 0b0000, 0b1111)
             rounds_vs_faults(4, [2], 8, seed=5)
-        metrics().reset()
         text = render_stats(summarize_run(path))
         assert "routing: 1 attempts" in text
         assert "gs kernel: 8 trials" in text
@@ -144,7 +138,6 @@ class TestStatsRoundTrip:
         with observed(path):
             for d in alive[1:]:
                 route_unicast(sl, alive[0], d)
-        metrics().reset()
         stats = summarize_run(path)
         total = sum(stats.condition_rate(c)
                     for c in ("C1", "C2", "C3", "none"))

@@ -11,7 +11,7 @@ once wall-clock readings and run identity are masked.
 import importlib.util
 import json
 
-from repro.obs import EVENT_TYPES, metrics, read_events, validate_stream
+from repro.obs import EVENT_TYPES, read_events, validate_stream
 
 from ..test_golden import GOLDEN_DIR
 
@@ -63,10 +63,7 @@ def test_fixture_covers_every_event_type():
 
 def test_rerun_gives_the_committed_stream(tmp_path):
     path = tmp_path / "run.jsonl"
-    try:
-        golden.record(path)
-    finally:
-        metrics().reset()  # observed() leaves its counters behind
+    golden.record(path)
     fresh = [_mask(r) for r in read_events(path)]
     committed = [_mask(r) for r in read_events(GOLDEN_DIR / golden.STREAM)]
     assert [r["type"] for r in fresh] == [r["type"] for r in committed]

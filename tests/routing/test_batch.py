@@ -3,16 +3,16 @@
 The load-bearing property: every route of a batch is *bit-identical* to
 the scalar Section 3.2 walk — same status, same admitting condition, same
 hop count, same node path — on any fault set, including disconnected
-cubes, under both deterministic tie-breaks — whether the walk gathers
-neighbor levels per step (``route_unicast_batch``) or reads them from the
-service's precomputed packed words (``route_with_table``).
+cubes, under both deterministic tie-breaks — through either entry point
+of the one walk: ``route_unicast_batch`` over trial matrices, or the
+service's ``route_with_table`` over one epoch's level vector.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Hypercube, uniform_node_faults
+from repro.core import FaultSet, Hypercube, uniform_node_faults
 from repro.instances import fig1_instance, fig3_instance
 from repro.routing import (
     RouteStatus,
@@ -21,10 +21,8 @@ from repro.routing import (
     route_unicast,
 )
 from repro.routing.batch import (
+    _CONDITION_BY_CODE,
     BatchRouteResult,
-    _route_batch_scalar,
-    check_feasibility_batch,
-    pack_neighbor_levels,
     route_unicast_batch,
     route_with_table,
 )
@@ -119,23 +117,29 @@ class TestScalarEquivalence:
                  for i, j in rng.integers(len(alive), size=(50, 2))]
         _assert_pairs_equal(topo, sl, levels, pairs, "lowest-dim")
 
-    def test_scalar_kernel_bit_identical(self):
-        """The scalar reference kernel (run for the random tie-break)
-        agrees with the vectorized walk on every array field."""
-        topo, sl, levels, alive = _instance(6, 9, 77)
-        rng = np.random.default_rng(78)
-        srcs = np.array([alive[int(i)]
-                         for i in rng.integers(len(alive), size=300)])
-        dsts = np.array([alive[int(j)]
-                         for j in rng.integers(len(alive), size=300)])
-        vec = route_unicast_batch(topo, levels, srcs, dsts,
-                                  return_paths=True)
-        sca = _route_batch_scalar(topo, levels, srcs[None, :],
-                                  dsts[None, :], "lowest-dim", None, True)
-        assert vec.kernel == "vectorized"
-        for name, arr in zip(("hamming", "status", "condition", "first_dim",
-                              "hops", "paths"), sca):
-            assert (getattr(vec, name) == arr).all(), name
+    @pytest.mark.parametrize("tie_break", ["lowest-dim", "highest-dim"])
+    def test_stuck_walks_match_scalar_beyond_the_guarantees(self,
+                                                            tie_break):
+        """Levels that are no Definition-1 fixed point (random 1..n on
+        live nodes) break Theorem 3, so some walks reach a node whose
+        preferred neighbors are all faulty: the STUCK check, its level-0
+        pick and its path still match the scalar walk pair for pair."""
+        n = 5
+        topo = Hypercube(n)
+        rng = np.random.default_rng(5)
+        faulty = rng.random(topo.num_nodes) < 0.3
+        levels = np.where(faulty, 0, rng.integers(1, n + 1, topo.num_nodes))
+        sl = SafetyLevels(topo=topo, levels=levels, faults=FaultSet(
+            nodes=frozenset(np.flatnonzero(faulty).tolist())))
+        alive = np.flatnonzero(~faulty)
+        srcs = np.repeat(alive, alive.size)
+        dsts = np.tile(alive, alive.size)
+        batch = route_unicast_batch(topo, levels, srcs, dsts,
+                                    tie_break=tie_break, return_paths=True)
+        assert batch.stuck.any()
+        for k in range(srcs.size):
+            assert batch.result(0, k) == route_unicast(
+                sl, int(srcs[k]), int(dsts[k]), tie_break=tie_break)
 
 
 class TestPaperInstances:
@@ -172,55 +176,47 @@ class TestPaperInstances:
 
 
 class TestFeasibilityBatch:
+    """A batch's ``condition``/``first_dim`` columns are the source rule's
+    outcome: scalar ``check_feasibility`` route by route."""
+
     @pytest.mark.parametrize("tie_break", ["lowest-dim", "highest-dim"])
     def test_matches_scalar_check(self, tie_break):
         topo, sl, levels, alive = _instance(5, 8, 21)
         pairs = [(s, d) for s in alive for d in alive]
-        feas = check_feasibility_batch(
+        batch = route_unicast_batch(
             topo, levels, [p[0] for p in pairs], [p[1] for p in pairs],
             tie_break=tie_break)
         for k, (s, d) in enumerate(pairs):
             ref = check_feasibility(sl, s, d, tie_break=tie_break)
-            assert feas.condition_of(0, k) is ref.condition
+            condition = _CONDITION_BY_CODE[int(batch.condition[0, k])]
+            assert condition is ref.condition
             expected_dim = -1 if ref.first_dim is None else ref.first_dim
-            assert int(feas.first_dim[0, k]) == expected_dim
-            assert bool(feas.feasible[0, k]) == ref.feasible
+            assert int(batch.first_dim[0, k]) == expected_dim
+            assert (not batch.aborted[0, k]) == ref.feasible
 
     def test_random_policy_rejected(self):
         topo, _sl, levels, alive = _instance(4, 2, 5)
         with pytest.raises(ValueError, match="random"):
-            check_feasibility_batch(topo, levels, alive[0], alive[1],
-                                    tie_break="random")
+            route_unicast_batch(topo, levels, alive[0], alive[1],
+                                tie_break="random")
 
 
 class TestKernelDispatch:
-    def test_random_tie_break_always_scalar(self):
+    def test_random_tie_break_points_to_scalar_router(self):
+        """Deterministic tie-breaks run the one vectorized walk; the
+        random one is refused at both entry points, naming the scalar
+        router that owns its draws."""
         topo, _sl, levels, alive = _instance(4, 2, 3)
-        for tie_break, kernel in (("lowest-dim", "vectorized"),
-                                  ("highest-dim", "vectorized"),
-                                  ("random", "scalar")):
+        for tie_break in ("lowest-dim", "highest-dim"):
             batch = route_unicast_batch(topo, levels, alive[0], alive[-1],
                                         tie_break=tie_break)
-            assert batch.kernel == kernel
-
-    def test_random_batch_draws_in_row_major_order(self):
-        """The scalar fallback consumes the shared generator pair by pair
-        exactly like an explicit loop over route_unicast."""
-        topo, sl, levels, alive = _instance(5, 6, 33)
-        rng = np.random.default_rng(34)
-        picks = rng.integers(len(alive), size=(40, 2))
-        srcs = [alive[int(i)] for i, _ in picks]
-        dsts = [alive[int(j)] for _, j in picks]
-        g1 = np.random.default_rng(99)
-        batch = route_unicast_batch(topo, levels, srcs, dsts,
-                                    tie_break="random", rng=g1,
-                                    return_paths=True)
-        assert batch.kernel == "scalar"
-        g2 = np.random.default_rng(99)
-        for k, (s, d) in enumerate(zip(srcs, dsts)):
-            assert batch.result(0, k) == route_unicast(
-                sl, s, d, tie_break="random", rng=g2)
-        assert g1.bit_generator.state == g2.bit_generator.state
+            assert batch.kernel == "vectorized"
+        with pytest.raises(ValueError, match="scalar route_unicast"):
+            route_unicast_batch(topo, levels, alive[0], alive[-1],
+                                tie_break="random")
+        with pytest.raises(ValueError, match="scalar route_unicast"):
+            route_with_table(topo, levels[0], alive[0], alive[-1],
+                             tie_break="random")
 
 
 class TestInputHandling:
@@ -302,12 +298,10 @@ class TestObservability:
         assert isinstance(batch, BatchRouteResult)
 
 
-class TestPackedKernel:
-    """The routing service's walk: ``route_with_table`` over one epoch's
-    :func:`pack_neighbor_levels` words must be bit-identical to
-    ``route_unicast_batch`` under both deterministic tie-breaks, and so
-    must its second backend, ``packed=None`` (gather through the neighbor
-    table — the only option past n = 15)."""
+class TestRouteWithTable:
+    """The routing service's entry point: ``route_with_table`` over one
+    epoch's level vector must be bit-identical to ``route_unicast_batch``
+    under both deterministic tie-breaks, on every cube size."""
 
     FIELDS = ("hamming", "status", "condition", "first_dim", "hops",
               "paths")
@@ -326,39 +320,36 @@ class TestPackedKernel:
                          for j in rng.integers(len(alive), size=200)])
         ref = route_unicast_batch(topo, levels, srcs, dsts,
                                   tie_break=tie_break, return_paths=True)
-        got = route_with_table(topo, levels[0],
-                               pack_neighbor_levels(levels[0], n), srcs,
-                               dsts, tie_break=tie_break, return_paths=True)
+        got = route_with_table(topo, levels[0], srcs, dsts,
+                               tie_break=tie_break, return_paths=True)
         for name in self.FIELDS:
             assert (getattr(ref, name) == getattr(got, name)).all(), name
 
-    def test_both_backends_bit_identical(self):
-        """``packed=None`` gathers neighbor levels instead of reading the
-        words, and still matches ``route_unicast_batch`` field for field."""
-        for n, num_faults, seed in ((3, 2, 11), (4, 8, 12), (6, 9, 13),
-                                    (15, 14, 15)):
-            topo, _sl, levels, alive = _instance(n, num_faults, seed)
-            rng = np.random.default_rng(seed + 2)
-            srcs = np.array([alive[int(i)]
-                             for i in rng.integers(len(alive), size=150)])
-            dsts = np.array([alive[int(j)]
-                             for j in rng.integers(len(alive), size=150)])
-            for tie_break in ("lowest-dim", "highest-dim"):
-                ref = route_unicast_batch(topo, levels, srcs, dsts,
-                                          tie_break=tie_break,
-                                          return_paths=True)
-                got = route_with_table(topo, levels[0], None, srcs, dsts,
-                                       tie_break=tie_break,
-                                       return_paths=True)
-                assert got.kernel == "vectorized"
-                for name in self.FIELDS:
-                    assert (getattr(ref, name) ==
-                            getattr(got, name)).all(), (n, name, tie_break)
-
-    def test_packed_rejects_oversized_dimension_directly(self):
-        """Levels up to n = 15 fit a 4-bit nibble; past that the packer
-        fails loudly instead of wrapping."""
-        assert pack_neighbor_levels(np.full(1 << 15, 15), 15).shape == \
-            (1 << 15,)
-        with pytest.raises(ValueError, match="n <= 15"):
-            pack_neighbor_levels(np.full(1 << 16, 16), 16)
+    def test_bit_identical_past_the_old_nibble_limit(self):
+        """On Q17, where levels reach 17 (past a 4-bit field) and the
+        dimension code needs 5 bits, the walk still matches the batch
+        entry point field for field and the scalar router route for
+        route."""
+        n = 17
+        topo = Hypercube(n)
+        rng = np.random.default_rng(17)
+        sl = SafetyLevels.compute(topo, uniform_node_faults(topo, 40, rng))
+        levels = np.asarray(sl.levels, dtype=np.int8)
+        assert int(levels.max()) == n
+        alive = sl.faults.nonfaulty_nodes(topo)
+        srcs = np.array([alive[int(i)]
+                         for i in rng.integers(len(alive), size=150)])
+        dsts = np.array([alive[int(j)]
+                         for j in rng.integers(len(alive), size=150)])
+        for tie_break in ("lowest-dim", "highest-dim"):
+            ref = route_unicast_batch(topo, levels, srcs, dsts,
+                                      tie_break=tie_break,
+                                      return_paths=True)
+            got = route_with_table(topo, levels, srcs, dsts,
+                                   tie_break=tie_break, return_paths=True)
+            for name in self.FIELDS:
+                assert (getattr(ref, name) ==
+                        getattr(got, name)).all(), (name, tie_break)
+            for k in range(0, len(srcs), 10):
+                assert got.result(0, k) == route_unicast(
+                    sl, int(srcs[k]), int(dsts[k]), tie_break=tie_break)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import ChaosPlan, MessageTamper, NodeKill, random_chaos_plan
 from repro.core import FaultSet, Hypercube, uniform_node_faults
-from repro.obs import metrics, observed, summarize_run
+from repro.obs import observed, summarize_run
 from repro.routing import (
     route_unicast_distributed,
     route_unicast_resilient,
@@ -147,7 +147,6 @@ class TestObservability:
                 result, _net = route_unicast_resilient(sl, source, dest,
                                                        plan=plan)
                 outcomes.append(result)
-        metrics().reset()
         stats = summarize_run(path)
         delivered = stats.tally("chaos_run", "status").get("delivered", 0)
         assert stats.count("chaos_run") == 5

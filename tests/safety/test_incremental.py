@@ -177,7 +177,6 @@ class TestObservability:
             engine.apply_delta(add=[1])
             engine.apply_delta(add=list(range(0, q4.num_nodes, 2)))
             counters = registry.counter_values()
-        obs.metrics().reset()
         assert counters["safety.incremental_updates"] >= 2
         assert counters["safety.incremental_fallbacks"] == 1
         assert counters["safety.incremental_messages"] > 0

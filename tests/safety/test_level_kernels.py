@@ -181,7 +181,6 @@ class TestDispatch:
                 compute_safety_levels_batch(
                     Hypercube(n), _random_masks(n, 5, seed=2))
             counters = registry.counter_values()
-        obs.metrics().reset()
         assert counters["gs.kernel.swar"] == 1
         assert counters["gs.kernel.packed"] == 1
 
@@ -191,7 +190,6 @@ class TestDispatch:
             compute_safety_levels_batch(
                 Hypercube(12), _random_masks(12, 70, seed=3, p=0.1))
             counters = registry.counter_values()
-        obs.metrics().reset()
         assert counters["gs.kernel.swar"] == 1
         assert counters["gs.kernel.packed"] == 1
         assert counters["gs.trials"] == 70

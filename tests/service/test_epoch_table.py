@@ -1,11 +1,12 @@
 """Epoch tables: seal, check at the kernel, bump.
 
-Each fault epoch's level table is a pair of read-only in-process arrays
-(:func:`repro.service.epoch.seal_epoch_table`).  The guarantees under
-test are the service's consistency substrate:
+Each fault epoch's level table is one read-only in-process ``int8``
+vector (:func:`repro.service.epoch.seal_epoch_table`), which the routing
+kernel walks as it is.  The guarantees under test are the service's
+consistency substrate:
 
-* a sealed table holds a private copy of the levels, its packed
-  neighbor words, and nothing a reader can write;
+* a sealed table holds a private copy of the levels and nothing else,
+  and nothing a reader can write;
 * the kernel-side check (:func:`repro.service.attach_epoch_table`)
   refuses a table of another epoch or dimension as
   :class:`TornTableError` — a kernel call never routes on the wrong
@@ -14,6 +15,7 @@ test are the service's consistency substrate:
   it was, alive exactly as long as something refers to it.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -21,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.core import FaultSet, Hypercube
-from repro.routing.batch import pack_neighbor_levels
 from repro.safety.levels import compute_safety_levels
 from repro.service import EpochManager, TornTableError, attach_epoch_table
 from repro.service.epoch import seal_epoch_table
@@ -39,29 +40,29 @@ class TestPublishAttach:
         levels = _levels()
         view = seal_epoch_table(3, 4, levels, FAULTS)
         assert (view.epoch, view.n, view.faults) == (3, 4, FAULTS)
-        got_levels, got_packed = attach_epoch_table(view, 3, 4)
+        got_levels = attach_epoch_table(view, 3, 4)
+        assert got_levels is view.levels
+        assert got_levels.dtype == np.int8
         assert np.array_equal(got_levels, levels)
-        assert np.array_equal(got_packed, pack_neighbor_levels(levels, 4))
         # a private copy: the caller's array may change afterwards
         levels[1] = 0
         assert got_levels[1] != 0
 
     def test_attached_views_are_read_only(self):
         view = seal_epoch_table(1, 4, _levels(), FAULTS)
-        levels, packed = attach_epoch_table(view, 1, 4)
+        levels = attach_epoch_table(view, 1, 4)
         with pytest.raises(ValueError):
             levels[0] = 9
-        with pytest.raises(ValueError):
-            packed[0] = 9
 
-    def test_packed_none_round_trips_as_none(self):
-        # past Q15 the neighbor nibbles do not fit a word: the table has
-        # no packed words and the kernel falls back to gathers
+    def test_view_carries_only_its_levels(self):
+        # the level vector is the whole table, on every cube size: no
+        # derived per-node array rides beside it
+        assert [f.name for f in dataclasses.fields(seal_epoch_table(
+            1, 4, _levels(), FAULTS))] == ["epoch", "n", "faults", "levels"]
         n = 16
         levels = np.full(1 << n, n, dtype=np.int8)
         view = seal_epoch_table(1, n, levels, FaultSet())
-        got_levels, got_packed = attach_epoch_table(view, 1, n)
-        assert got_packed is None
+        got_levels = attach_epoch_table(view, 1, n)
         assert np.array_equal(got_levels, levels)
         assert not got_levels.flags.writeable
 
@@ -101,8 +102,7 @@ class TestEpochManagerLifecycle:
             mgr.apply_fault_event(add=[9])
             assert held.epoch == 1
             assert np.array_equal(held.levels, before)
-            levels, _packed = attach_epoch_table(held, 1, 4)
-            assert levels is held.levels
+            assert attach_epoch_table(held, 1, 4) is held.levels
             with pytest.raises(TornTableError):
                 attach_epoch_table(mgr.current, 1, 4)
 
@@ -117,10 +117,8 @@ class TestEpochManagerLifecycle:
                 views.append(mgr.current)
                 assert views[-1].epoch == swap.epoch
             for view in views:
-                levels, packed = attach_epoch_table(view, view.epoch, 4)
-                want = _levels(faults=view.faults)
-                assert np.array_equal(levels, want)
-                assert np.array_equal(packed, pack_neighbor_levels(want, 4))
+                levels = attach_epoch_table(view, view.epoch, 4)
+                assert np.array_equal(levels, _levels(faults=view.faults))
             for prev, view in zip(views, views[1:]):
                 assert not np.array_equal(prev.levels, view.levels)
 
@@ -132,5 +130,5 @@ class TestEpochManagerLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             mgr.apply_fault_event(add=[3])
         assert mgr.current is view
-        assert attach_epoch_table(view, 2, 4)[0] is view.levels
+        assert attach_epoch_table(view, 2, 4) is view.levels
         mgr.close()  # idempotent

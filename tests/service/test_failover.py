@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import FaultSet
-from repro.obs import metrics, observed, read_events, summarize_run
+from repro.obs import observed, read_events, summarize_run
 from repro.obs.events import validate_stream
 from repro.obs.runstats import render_stats
 from repro.service import (
@@ -546,7 +546,6 @@ class TestFailoverTelemetry:
 
         with observed(path, tool="test"):
             asyncio.run(run())
-        metrics().reset()
 
         records = list(read_events(path))
         validate_stream(records)  # schema-checks shard_failover too
@@ -582,7 +581,6 @@ class TestFailoverTelemetry:
         with observed() as (reg, _rec):
             asyncio.run(run())
             counters = reg.counter_values()
-        metrics().reset()
         assert counters["service.shed_requests"] == 1
         assert counters["service.shard_down"] == 1
         assert counters.get("service.failover_count", 0) == 0

@@ -306,7 +306,7 @@ class TestWireCounters:
         against a one-row admission budget: three frames, two answered
         with an error (the undecodable and the shed), every payload
         observed once."""
-        from repro.obs import metrics, observed
+        from repro.obs import observed
         from repro.service.server import _answer_run
 
         run = [(1, b"\x00\x01\x02"),
@@ -327,7 +327,6 @@ class TestWireCounters:
             data = asyncio.run(main())
             counters = reg.counter_values()
             payload = reg.histogram("service.wire_payload").snapshot()
-        metrics().reset()
         ops, at = [], 0
         while at < len(data):
             _magic, op, length, req_id = wire.HEADER.unpack_from(data, at)

@@ -566,7 +566,6 @@ class TestTelemetry:
         with obs.observed(out) as (registry, _rec):
             asyncio.run(run())
             counters = registry.counter_values()
-        obs.metrics().reset()
 
         assert counters["service.requests"] == 60
         assert counters["service.batches"] >= 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FaultSet, Hypercube
-from repro.obs import metrics, observed
+from repro.obs import observed
 from repro.simcore import (
     DROP_CHAOS,
     DROP_LINK_DOWN,
@@ -181,6 +181,5 @@ class TestDropCounters:
             net.schedule_link_failure(0, 1, time=1)
             net.run()
             counters = reg.counter_values()
-        metrics().reset()
         assert counters["sim.dropped.link_down"] == 2
         assert counters["sim.dropped.faulty_node"] == 0

@@ -75,14 +75,34 @@ class TestRecordRunAndStats:
             levels = api.compute_levels(4, ["0110"])
             api.route(levels, 0, 15)
             rec.emit("experiment", name="demo", elapsed_s=0.0, status="ok")
-        from repro.obs import metrics
-        metrics().reset()
         stats = api.stats(path)
         assert stats.manifest["tool"] == "repro.api"
         assert stats.manifest["config"] == {"who": "facade"}
         assert stats.route_attempts == 1
         assert stats.event_counts["experiment"] == 1
         assert stats.run_end["status"] == "ok"
+
+    def test_each_run_counts_only_its_own_routes(self, tmp_path):
+        """Two runs in one process: the second snapshot does not carry
+        the first run's counts."""
+        levels = api.compute_levels(4, ["0110"])
+        for k in range(2):
+            path = tmp_path / f"run{k}.jsonl"
+            with api.record_run(path) as (reg, _rec):
+                api.route(levels, 0, 15)
+                assert reg.counter_values()["route.attempts"] == 1
+            snapshot = api.stats(path).metrics_snapshot["counters"]
+            assert snapshot["route.attempts"] == 1
+
+    def test_nested_run_keeps_the_outer_counts(self, tmp_path):
+        levels = api.compute_levels(4, ["0110"])
+        with api.record_run(tmp_path / "outer.jsonl") as (reg, _rec):
+            api.route(levels, 0, 15)
+            with api.record_run(tmp_path / "inner.jsonl"):
+                api.route(levels, 0, 15)
+            assert reg.counter_values()["route.attempts"] == 2
+        inner = api.stats(tmp_path / "inner.jsonl")
+        assert inner.metrics_snapshot["counters"]["route.attempts"] == 2
 
 
 class TestTopLevelSurface:
