@@ -9,15 +9,19 @@ Each connection's protocol is auto-detected from its **first byte**:
 * ``0xAB`` (the frame magic) — the length-prefixed binary protocol of
   :mod:`repro.service.wire`: pipelined request/reply frames matched by
   ``req_id``, block routing, structured error frames.  Consecutive
-  ``ROUTE`` frames form a *run*: it closes when the session would wait
-  for more bytes, at the first frame of another op, or at EOF, and goes
-  to the router as one block — one batcher entry, one epoch — whose
-  replies leave in one write; admission still weighs each frame alone,
-  so the frames past a tenant's budget are shed one by one.  A run of
-  one frame is a one-row entry, so lone frames from many connections
-  still meet in the batcher's window.  Every other frame is dispatched
-  as its own task, so a pipelined client's blocks and runs land in the
-  micro-batcher *concurrently*.
+  ``ROUTE`` frames form a *run*: it closes when the session's read
+  buffer holds no whole frame, at the first frame of another op, or at
+  EOF, and goes to the router as one block — one batcher entry, one
+  epoch — whose replies leave in one write; admission still weighs each
+  frame alone, so the frames past a tenant's budget are shed one by
+  one.  A session holds one run in flight: it reads its connection's
+  later frames only once the run is routed, so every frame that arrived
+  during the kernel call joins the next run.  A run of one frame is a
+  one-row entry, so lone frames from many connections still meet in the
+  batcher's window; the frames a connection sends behind its own lone
+  frame do not join that frame's window, they form the next run.  Every
+  other frame is dispatched as its own task, so a pipelined client's
+  blocks land in the micro-batcher *concurrently* with its runs.
 * anything else — the original line protocol, one request per line, one
   JSON object per response line, so load generators and humans
   (``nc localhost 7429``) keep working unchanged:
@@ -189,21 +193,18 @@ async def _answer_run(
     router: ShardRouter,
     session: dict,
     run: List[Tuple[int, bytes]],
-    writer: asyncio.StreamWriter,
-    write_lock: asyncio.Lock,
-) -> None:
-    """Route a run of ``(req_id, payload)`` ROUTE frames and send every
-    frame's reply in one write.
+) -> bytes:
+    """Route a run of ``(req_id, payload)`` ROUTE frames; returns every
+    frame's reply frame, joined for one write.
 
-    The tenant is read when this task first runs, as a frame's own task
-    reads it: tasks start in the order they were created, so a ``TENANT``
-    frame read after the run's last frame has not rebound the session
-    yet, and one read before its first frame has.  A frame that does not
-    decode, or names a node outside int64, is refused alone.  Admission
-    control weighs each frame as its own request: the frames within the
-    tenant's budget are routed and each one past it gets ``E_OVERLOAD``.
-    Any other failure in the router answers every frame with its own
-    ERROR frame.
+    The session runs this as a task of its own, so it reads the tenant
+    after every earlier frame's task has started: a ``TENANT`` frame
+    read before the run's first frame has rebound the session.  A frame
+    that does not decode, or names a node outside int64, is refused
+    alone.  Admission control weighs each frame as its own request: the
+    frames within the tenant's budget are routed and each one past it
+    gets ``E_OVERLOAD``.  Any other failure in the router answers every
+    frame with its own ERROR frame.
     """
     out, ids, srcs, dsts = [], [], [], []
     for req_id, payload in run:
@@ -240,25 +241,48 @@ async def _answer_run(
                     for req_id in ids[len(rows):]]
         record("wire_frame", frames=len(ids), errors=len(ids) - len(rows),
                payload_len=wire._ROUTE.size)
-    await _send(writer, write_lock, b"".join(out))
+    return b"".join(out)
 
 
-class _Unread:
-    """A connection's reader with bytes already read put back in front:
-    the sniffed first byte goes back so :func:`wire.read_frame` reads
-    the session's first frame like every other."""
+#: Bytes a binary session asks its socket for at a time.
+_READ_SIZE = 64 * 1024
+
+
+class _FrameBuffer:
+    """A binary session's bytes read from the socket but not yet framed.
+
+    :func:`wire.read_frame` reads through :meth:`readexactly`, which
+    fills from the socket ``_READ_SIZE`` bytes at a time; the sniffed
+    first byte starts the buffer, so the session's first frame is read
+    like every other.  :meth:`holds_frame` tells whether the next frame
+    can be read without waiting on the socket.
+    """
 
     def __init__(self, prefix: bytes, reader: asyncio.StreamReader) -> None:
-        self._prefix = prefix
+        self._data = prefix
+        self._at = 0
         self._reader = reader
 
+    def holds_frame(self) -> bool:
+        size = wire.frame_size(self._data, self._at)
+        return size is not None and len(self._data) - self._at >= size
+
     async def readexactly(self, n: int) -> bytes:
-        head, self._prefix = self._prefix[:n], self._prefix[n:]
-        try:
-            return head + await self._reader.readexactly(n - len(head))
-        except asyncio.IncompleteReadError as exc:
-            raise asyncio.IncompleteReadError(head + exc.partial,
-                                              n) from None
+        end = self._at + n
+        if end > len(self._data):
+            parts = [self._data[self._at:]]
+            have = len(parts[0])
+            while have < n:
+                chunk = await self._reader.read(_READ_SIZE)
+                if not chunk:
+                    self._data, self._at = b"", 0
+                    raise asyncio.IncompleteReadError(b"".join(parts), n)
+                parts.append(chunk)
+                have += len(chunk)
+            self._data, self._at, end = b"".join(parts), 0, n
+        data = self._data[self._at:end]
+        self._at = end
+        return data
 
 
 async def _binary_session(
@@ -270,32 +294,35 @@ async def _binary_session(
 ) -> None:
     """Serve one binary connection; ``first_byte`` is the peeked magic.
 
-    ROUTE frames join the open run; the run closes at the first frame of
-    another op, at EOF, or — through a ``call_soon`` set when it opens —
-    once this task waits for bytes, i.e. when every frame already
-    buffered has joined it.
+    ROUTE frames join the open run; the run closes when the read buffer
+    holds no whole frame, at the first frame of another op, or at EOF.
+    The session then waits for the run to be routed before it reads on,
+    so one run per connection is in the router at a time and the frames
+    that arrived meanwhile form the next run.  The price: frames sent
+    behind a lone frame wait out that frame's batcher window instead of
+    joining it, so only other connections share a lone frame's kernel
+    call.  The run's replies are written without waiting for the client
+    to drain them: a session that waited would stop reading a client
+    that writes everything before it reads.
     """
     loop = asyncio.get_running_loop()
     write_lock = asyncio.Lock()
     tasks: set = set()
     run: List[Tuple[int, bytes]] = []
-    closer: Optional[asyncio.Handle] = None
 
-    def spawn(coro) -> None:
+    def spawn(coro) -> asyncio.Task:
         task = loop.create_task(coro)
         tasks.add(task)
         task.add_done_callback(tasks.discard)
+        return task
 
-    def close_run() -> None:
-        nonlocal run, closer
-        if closer is not None:
-            closer.cancel()
-            closer = None
-        if run:
-            spawn(_answer_run(router, session, run, writer, write_lock))
-            run = []
+    async def route_run() -> None:
+        nonlocal run
+        frames, run = run, []
+        # a task, so that it starts after the earlier frames' tasks
+        writer.write(await spawn(_answer_run(router, session, frames)))
 
-    source = _Unread(first_byte, reader)
+    source = _FrameBuffer(first_byte, reader)
     try:
         while True:
             try:
@@ -304,18 +331,19 @@ async def _binary_session(
                 break  # framing desync: nothing to resume from
             if frame is None:
                 break
-            source = reader
             op, req_id, payload = frame
             if op == wire.OP_ROUTE:
-                if closer is None:
-                    closer = loop.call_soon(close_run)
                 run.append((req_id, payload))
+                if not source.holds_frame():
+                    await route_run()
             else:
-                close_run()
+                if run:
+                    await route_run()
                 spawn(_run_frame(router, session, op, req_id, payload,
                                  writer, write_lock))
     finally:
-        close_run()
+        if run:  # frames buffered ahead of a desync are still answered
+            await route_run()
         if tasks:
             await asyncio.gather(*tuple(tasks), return_exceptions=True)
 

@@ -59,7 +59,7 @@ __all__ = [
     "E_SHARD_DOWN", "E_NO_TENANT", "E_INTERNAL",
     "E_RETRY", "E_MOVED", "E_OVERLOAD", "RETRYABLE_CODES",
     "WireError", "RouteReply", "BlockReply", "FaultReply",
-    "encode_frame", "read_frame",
+    "encode_frame", "frame_size", "read_frame",
     "encode_route", "decode_route", "encode_block", "decode_block",
     "encode_fault", "decode_fault",
     "encode_route_reply", "decode_route_reply",
@@ -174,6 +174,19 @@ def encode_frame(op: int, req_id: int, payload: bytes = b"") -> bytes:
         raise ValueError(f"payload of {len(payload)} bytes exceeds the "
                          f"{MAX_PAYLOAD}-byte frame limit")
     return HEADER.pack(MAGIC, op, len(payload), req_id) + payload
+
+
+def frame_size(buffer: bytes, offset: int = 0) -> Optional[int]:
+    """Bytes in the frame whose header starts at ``buffer[offset]``,
+    header included; ``None`` while the header itself is incomplete.
+
+    The size is read from the header's length field alone: a bad magic
+    byte or an oversized length is :func:`read_frame`'s to refuse.
+    """
+    if len(buffer) - offset < HEADER.size:
+        return None
+    _magic, _op, length, _req_id = HEADER.unpack_from(buffer, offset)
+    return HEADER.size + length
 
 
 async def read_frame(

@@ -287,19 +287,6 @@ class TestOneErrorTable:
         assert str(exc) in frame.message and str(exc) in line["error"]
 
 
-class _Sink:
-    """The writer side of a connection, keeping what was written."""
-
-    def __init__(self):
-        self.data = b""
-
-    def write(self, data):
-        self.data += data
-
-    async def drain(self):
-        pass
-
-
 class TestWireCounters:
     def test_route_run_counts_every_frame_once(self):
         """A ROUTE run of one undecodable frame and two routable ones
@@ -318,10 +305,8 @@ class TestWireCounters:
                                    max_tenant_inflight=1) as router:
                 await router.add_tenant("default", dimension=N,
                                         faults=FAULTS)
-                sink = _Sink()
-                await _answer_run(router, {"tenant": "default"}, run,
-                                  sink, asyncio.Lock())
-                return sink.data
+                return await _answer_run(router, {"tenant": "default"},
+                                         run)
 
         with observed() as (reg, _rec):
             data = asyncio.run(main())

@@ -10,6 +10,7 @@ with a structured ERROR frame instead of killing the connection.
 """
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ class TestCodecs:
         payload = wire.encode_block(np.arange(1, 4), np.arange(4, 7))
         with pytest.raises(WireError, match="must be"):
             wire.decode_block(payload[:-3])
+
+    def test_frame_size_reads_the_header_length(self):
+        route = wire.encode_frame(wire.OP_ROUTE, 42, wire.encode_route(3, 9))
+        epoch = wire.encode_frame(wire.OP_EPOCH, 7)
+        data = b"xy" + route + epoch + route[:wire.HEADER.size - 1]
+        assert wire.frame_size(route) == len(route) == wire.HEADER.size + 16
+        assert wire.frame_size(data, 2) == len(route)
+        assert wire.frame_size(data, 2 + len(route)) == wire.HEADER.size
+        # a header one byte short, or none at all, gives no size
+        assert wire.frame_size(data, 2 + len(route) + len(epoch)) is None
+        assert all(wire.frame_size(route[:k]) is None
+                   for k in range(wire.HEADER.size))
+        # the length field alone decides, even past the payload limit
+        huge = wire.HEADER.pack(wire.MAGIC, wire.OP_BLOCK,
+                                wire.MAX_PAYLOAD + 1, 1)
+        assert wire.frame_size(huge) == wire.HEADER.size + wire.MAX_PAYLOAD + 1
 
 
 def _serve(port, run, window_us):
@@ -437,3 +454,257 @@ class TestOneLoop:
                               ref.condition.reshape(-1))
         assert np.array_equal(reply.hops, ref.hops.reshape(-1))
         assert np.array_equal(reply.hamming, ref.hamming.reshape(-1))
+
+
+#: One ROUTE_R frame, header included, as a numpy record.
+_ROUTE_R_FRAME = np.dtype([
+    ("magic", "u1"), ("op", "u1"), ("length", ">u4"), ("req_id", ">u8"),
+    ("epoch", ">u8"), ("status", "u1"), ("condition", "u1"),
+    ("hops", ">u2"), ("hamming", ">u2")])
+
+
+def _route_frames(srcs, dsts, first_id=0):
+    return [wire.encode_frame(wire.OP_ROUTE, first_id + k,
+                              wire.encode_route(int(s), int(d)))
+            for k, (s, d) in enumerate(zip(srcs, dsts))]
+
+
+def _offline_replies(srcs, dsts):
+    """Every pair's reply as the offline kernel answers it at epoch 1."""
+    topo = Hypercube(N)
+    ref = route_unicast_batch(topo, compute_safety_levels(topo, FAULTS),
+                              srcs, dsts)
+    return [wire.RouteReply(1, int(ref.status[0, k]),
+                            int(ref.condition[0, k]), int(ref.hops[0, k]),
+                            int(ref.hamming[0, k]))
+            for k in range(len(srcs))]
+
+
+async def _frames_of(data):
+    """Split a byte stream of reply frames into ``{req_id: (op, payload)}``."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(bytes(data))
+    reader.feed_eof()
+    replies = {}
+    while (frame := await wire.read_frame(reader)) is not None:
+        op, req_id, payload = frame
+        assert req_id not in replies
+        replies[req_id] = (op, payload)
+    return replies
+
+
+class _Chunks:
+    """A socket reader that hands out the given chunks, one per read (a
+    chunk larger than the read is cut to it)."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+        self._next = 0
+        self._rest = b""
+
+    async def read(self, n):
+        chunk = self._rest
+        if not chunk and self._next < len(self._chunks):
+            chunk = self._chunks[self._next]
+            self._next += 1
+        chunk, self._rest = chunk[:n], chunk[n:]
+        return chunk
+
+
+class _Sink:
+    """The writer side of a connection: keeps what was written and how
+    much of it came before ``close``."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.before_close = None
+
+    def write(self, data):
+        assert self.before_close is None, "write after close"
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.before_close = len(self.data)
+
+    async def wait_closed(self):
+        pass
+
+
+async def _serve_chunks(chunks):
+    """Serve one binary session that reads ``chunks``; returns its sink."""
+    async with ShardRouter(shards=1, window_us=100) as router:
+        await router.add_tenant("default", dimension=N, faults=FAULTS)
+        sink = _Sink()
+        await asyncio.wait_for(handle_connection(
+            router, _Chunks(chunks), sink, tenant="default"), timeout=30)
+        return sink
+
+
+class TestSessionReads:
+    """A binary session holds one ROUTE run in the router at a time and
+    reads what arrived meanwhile as the next run."""
+
+    def test_a_client_that_writes_everything_before_reading_is_answered(
+            self):
+        # Every socket buffer of the connection is held to 64 KiB, so the
+        # replies back up long before the client has written its last
+        # request: a session that waited on the client draining its
+        # replies would stop reading, and this client would never get
+        # to read.
+        count = 100_000
+        srcs, dsts = _workload(count, seed=10)
+        burst = b"".join(_route_frames(srcs, dsts))
+
+        def small_buffers(sock):
+            for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+                sock.setsockopt(socket.SOL_SOCKET, option, 64 * 1024)
+
+        async def main():
+            async with ShardRouter(shards=1, window_us=100) as router:
+                await router.add_tenant("default", dimension=N,
+                                        faults=FAULTS)
+                server = await asyncio.start_server(
+                    lambda r, w: handle_connection(router, r, w,
+                                                   tenant="default"),
+                    "127.0.0.1", 0)
+                small_buffers(server.sockets[0])  # accepted ones inherit
+                async with server:
+                    sock = socket.socket()
+                    small_buffers(sock)
+                    sock.setblocking(False)
+                    await asyncio.get_running_loop().sock_connect(
+                        sock, server.sockets[0].getsockname())
+                    reader, writer = await asyncio.open_connection(sock=sock)
+
+                    async def client():
+                        writer.write(burst)
+                        await writer.drain()
+                        writer.write_eof()
+                        return await reader.read()
+
+                    try:
+                        return await asyncio.wait_for(client(), timeout=30)
+                    finally:
+                        # not close(): that would wait for the unsent
+                        # requests of a hung exchange to flush
+                        writer.transport.abort()
+
+        data = asyncio.run(main())
+        assert len(data) == count * _ROUTE_R_FRAME.itemsize
+        got = np.sort(np.frombuffer(data, dtype=_ROUTE_R_FRAME),
+                      order="req_id")
+        assert (got["op"] == wire.OP_ROUTE_R).all()
+        assert np.array_equal(got["req_id"], np.arange(count))
+        topo = Hypercube(N)
+        ref = route_unicast_batch(topo, compute_safety_levels(topo, FAULTS),
+                                  srcs, dsts)
+        assert (got["epoch"] == 1).all()
+        for field in ("status", "condition", "hops", "hamming"):
+            assert np.array_equal(got[field].astype(np.int64),
+                                  getattr(ref, field).reshape(-1)), field
+
+    def test_frames_written_while_a_run_routes_form_the_next_run(
+            self, monkeypatch):
+        # frame k routes 100 + k on a fault-free Q10, so a run's sources
+        # name its frames; each wave is written while the run before it
+        # is in the router, one frame per write
+        waves = [[0], list(range(1, 9)), list(range(9, 30)), [30, 31]]
+        count = sum(map(len, waves))
+        frames = _route_frames(100 + np.arange(count), np.zeros(count))
+        route_block = ShardRouter.route_block
+        runs, in_router = [], {"now": 0, "most": 0}
+        writer = None
+
+        async def watched(self, tenant, srcs, dsts, **kwargs):
+            runs.append([int(s) - 100 for s in srcs])
+            in_router["now"] += 1
+            in_router["most"] = max(in_router["most"], in_router["now"])
+            try:
+                if len(runs) < len(waves):
+                    for k in waves[len(runs)]:
+                        writer.write(frames[k])
+                        await writer.drain()
+                        await asyncio.sleep(0.002)
+                    await asyncio.sleep(0.01)
+                return await route_block(self, tenant, srcs, dsts, **kwargs)
+            finally:
+                in_router["now"] -= 1
+
+        monkeypatch.setattr(ShardRouter, "route_block", watched)
+
+        async def main():
+            nonlocal writer
+            async with ShardRouter(shards=1, window_us=100) as router:
+                await router.add_tenant("q10", dimension=10)
+                server = await asyncio.start_server(
+                    lambda r, w: handle_connection(router, r, w,
+                                                   tenant="q10"),
+                    "127.0.0.1", 0)
+                async with server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.sockets[0].getsockname()[1])
+                    writer.write(frames[0])
+                    replies = {}
+                    while len(replies) < count:
+                        op, req_id, _ = await asyncio.wait_for(
+                            wire.read_frame(reader), timeout=10)
+                        replies[req_id] = op
+                    writer.close()
+                    await writer.wait_closed()
+                return replies
+
+        replies = asyncio.run(main())
+        assert replies == {k: wire.OP_ROUTE_R for k in range(count)}
+        assert in_router["most"] == 1
+        assert runs == waves
+
+    @pytest.mark.parametrize("chunk", [1, 31, 70_000])
+    def test_frames_split_across_reads_are_answered_as_offline(self, chunk):
+        """Every frame cut at every ``chunk``-th byte of the stream (so at
+        every byte boundary for ``chunk=1``); the BLOCK frame is larger
+        than one 64 KiB read."""
+        srcs, dsts = _workload(4200 + 6, seed=11)
+        singles = _route_frames(srcs[:6], dsts[:6], first_id=10)
+        block = wire.encode_frame(
+            wire.OP_BLOCK, 1, wire.encode_block(srcs[6:], dsts[6:]))
+        assert len(block) > 64 * 1024
+        epoch = wire.encode_frame(wire.OP_EPOCH, 2)
+        stream = b"".join(singles[:3] + [block] + singles[3:5] + [epoch]
+                          + singles[5:])
+        sink = asyncio.run(_serve_chunks(
+            stream[at:at + chunk] for at in range(0, len(stream), chunk)))
+        replies = asyncio.run(_frames_of(sink.data))
+        assert sorted(replies) == [1, 2] + list(range(10, 16))
+        want = _offline_replies(srcs, dsts)
+        for k in range(6):
+            op, payload = replies[10 + k]
+            assert op == wire.OP_ROUTE_R
+            assert wire.decode_route_reply(payload) == want[k]
+        op, payload = replies[1]
+        assert op == wire.OP_BLOCK_R
+        got = wire.decode_block_reply(payload)
+        assert [wire.RouteReply(got.epoch, int(got.status[k]),
+                                int(got.condition[k]), int(got.hops[k]),
+                                int(got.hamming[k]))
+                for k in range(len(got))] == want[6:]
+        assert replies[2] == (wire.OP_EPOCH_R, wire._EPOCH_R.pack(1, 3))
+
+    @pytest.mark.parametrize("garbage", [
+        bytes(wire.HEADER.size),        # a whole header, bad magic
+        b"\x00\x01\x02",                # less than a header
+        b"GET / HTTP/1.1\r\n\r\n",       # a line where a frame should be
+        wire.HEADER.pack(wire.MAGIC, wire.OP_BLOCK, wire.MAX_PAYLOAD + 1, 9),
+    ], ids=["bad-magic", "short", "text", "oversized"])
+    def test_a_run_followed_by_garbage_is_answered_before_close(
+            self, garbage):
+        srcs, dsts = _workload(10, seed=12)
+        run = b"".join(_route_frames(srcs, dsts))
+        sink = asyncio.run(_serve_chunks([run + garbage]))
+        assert sink.before_close == len(sink.data)
+        replies = asyncio.run(_frames_of(sink.data))
+        assert {k: wire.decode_route_reply(payload)
+                for k, (_, payload) in replies.items()} == \
+            dict(enumerate(_offline_replies(srcs, dsts)))
