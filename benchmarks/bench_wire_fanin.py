@@ -9,10 +9,12 @@ frame and requests from different connections can meet only in the
 micro-batcher's window.  One Q12 tenant with 205 faults, no fault churn.
 
 The server runs in its own process (this script with ``--serve``), so
-its CPU time over the measured window is its own; at exit it reports its
-tenant's kernel calls and rows.  Every reply is checked against the
-offline kernel.  Prints one JSON line: routes/s, latency p50/p90 (ms),
-server CPU ms per 1000 routes, and routes per kernel call.  Linux only
+its CPU time over the measured window is its own; on ``SIGUSR1`` it
+prints its tenant's kernel calls and rows so far, and the client takes
+one such snapshot at each end of the window.  Every reply is checked
+against the offline kernel.  Prints one JSON line: routes/s, latency
+p50/p90 (ms), server CPU ms per 1000 routes, and routes per kernel call,
+all four over the measured window only.  Linux only
 (server CPU is read from ``/proc``).  Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_wire_fanin.py [--connections 32]
@@ -58,18 +60,20 @@ def _inputs(seed: int):
 async def _serve(seed: int) -> None:
     _topo, faults, _srcs, _dsts = _inputs(seed)
     stop = asyncio.Event()
-    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, stop.set)
     async with ShardRouter(shards=1) as router:
         await router.add_tenant(TENANT, dimension=DIMENSION, faults=faults)
+        svc = router.service_of(TENANT)
+        loop.add_signal_handler(signal.SIGUSR1, lambda: print(json.dumps(
+            {"flushes": svc.batcher.flushes, "rows": svc.responses}),
+            flush=True))
         server = await asyncio.start_server(
             lambda r, w: handle_connection(router, r, w, tenant=TENANT),
             "127.0.0.1", 0)
         print(f"READY {server.sockets[0].getsockname()[1]}", flush=True)
         async with server:
             await stop.wait()
-        svc = router.service_of(TENANT)
-        print(json.dumps({"flushes": svc.batcher.flushes,
-                          "rows": svc.responses}), flush=True)
 
 
 def _cpu_seconds(pid: int) -> float:
@@ -132,9 +136,11 @@ async def _load(port: int, pid: int, args, expected, payloads) -> Dict:
     await asyncio.sleep(WARMUP_S)
     state["measuring"] = True
     cpu0, t0 = _cpu_seconds(pid), time.perf_counter()
+    os.kill(pid, signal.SIGUSR1)
     await asyncio.sleep(args.seconds)
     state["measuring"] = False
     cpu1, t1 = _cpu_seconds(pid), time.perf_counter()
+    os.kill(pid, signal.SIGUSR1)
     done.set()
     await clients
     lat_ms = np.array(latencies) / 1e6
@@ -180,8 +186,9 @@ def main(argv=None) -> int:
     finally:
         proc.send_signal(signal.SIGTERM)
         tail, _ = proc.communicate(timeout=30)
-    served = json.loads(tail.strip().splitlines()[-1])
-    report["routes_per_kernel_call"] = served["rows"] / served["flushes"]
+    start, end = (json.loads(line) for line in tail.strip().splitlines())
+    report["routes_per_kernel_call"] = ((end["rows"] - start["rows"]) /
+                                        (end["flushes"] - start["flushes"]))
     print(json.dumps(report))
     return 0 if report["wrong"] == report["errors"] == 0 else 1
 

@@ -11,7 +11,10 @@ the natural tests are paired:
 * :func:`significance_table` — runs both for a set of scheme pairs and
   prints effect sizes with p-values.
 
-scipy provides the distributions; everything stays seeded and paired.
+scipy provides the distributions.  It is imported on the first call of
+:func:`paired_delivery_test` or :func:`paired_detour_test`, not with this
+module: ``import repro`` loads this module, and the kernels and the
+service never need scipy.  Everything stays seeded and paired.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core import partition
 from ..core.fault_models import uniform_node_faults
@@ -101,6 +103,8 @@ def paired_delivery_test(outcomes: PairedOutcomes) -> Tuple[int, int, float]:
     discordant = a_only + b_only
     if discordant == 0:
         return a_only, b_only, 1.0
+    from scipy import stats
+
     p = stats.binomtest(a_only, discordant, 0.5).pvalue
     return a_only, b_only, float(p)
 
@@ -119,6 +123,8 @@ def paired_detour_test(outcomes: PairedOutcomes) -> Tuple[float, float]:
     mean_diff = float(diff.mean())
     if not diff.any():
         return mean_diff, 1.0
+    from scipy import stats
+
     res = stats.wilcoxon(a, b, zero_method="wilcox")
     return mean_diff, float(res.pvalue)
 

@@ -25,6 +25,7 @@ monotonically downward in at most ``n - 1`` sweeps (Property 1 corollary).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,11 +96,19 @@ class LevelsWorkspace:
 
     The vectorized kernels need an identity staircase, a gather buffer of
     shape ``(batch, 2**n, n)``, and (for the batched SWAR kernel) packed
-    threshold tables.  In Monte-Carlo loops those allocations dominate
-    small-cube trials, so this class caches them keyed on the cube shape,
-    growing batch capacity on demand and handing out views.  Buffers are
-    plain mutable scratch: a workspace must not be shared between threads
-    (separate *processes* each get their own).
+    threshold tables plus six ``(batch, 2**n)`` sweep arrays: packed
+    contributions, their gather along one dimension and the field sums
+    (uint64), the active rows' gathered levels (int64, so they index the
+    tables without a cast), faulty-neighbour counts that later hold the
+    active rows' fault masks (uint8), and per-node flags (bool).  In
+    Monte-Carlo loops those allocations dominate small-cube trials and,
+    once freed, fault their pages in again on the next call, so this
+    class caches them keyed on the cube shape, growing batch capacity on
+    demand and handing out views.  A warm workspace lets the SWAR kernel
+    sweep without allocating.
+    Buffers are plain mutable scratch: a workspace must not be shared
+    between threads (separate *processes* each get their own), and no
+    kernel returns a view of one — results are always fresh arrays.
     """
 
     __slots__ = ("_staircases", "_gathers", "_swar", "_swar_scratch")
@@ -108,7 +117,7 @@ class LevelsWorkspace:
         self._staircases: Dict[int, np.ndarray] = {}
         self._gathers: Dict[Tuple[int, int], np.ndarray] = {}
         self._swar: Dict[int, Tuple[np.ndarray, np.ndarray, int, int]] = {}
-        self._swar_scratch: Dict[int, np.ndarray] = {}
+        self._swar_scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def staircase(self, n: int) -> np.ndarray:
         """Read-only ``(0, 1, ..., n-1)`` row for Definition-1 comparisons."""
@@ -130,13 +139,19 @@ class LevelsWorkspace:
 
     def swar_scratch(
         self, batch: int, num_nodes: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Two ``(batch, num_nodes)`` uint64 scratch views (uninitialized)."""
-        buf = self._swar_scratch.get(num_nodes)
-        if buf is None or buf.shape[1] < batch:
-            buf = np.empty((2, batch, num_nodes), dtype=np.uint64)
-            self._swar_scratch[num_nodes] = buf
-        return buf[0, :batch], buf[1, :batch]
+    ) -> Tuple[np.ndarray, ...]:
+        """The SWAR kernel's ``(batch, num_nodes)`` scratch views
+        (uninitialized): packed, neighbors and summed (uint64), gathered
+        (int64), counts (uint8) and flags (bool)."""
+        cached = self._swar_scratch.get(num_nodes)
+        if cached is None or cached[0].shape[1] < batch:
+            cached = (np.empty((4, batch, num_nodes), dtype=np.uint64),
+                      np.empty((2, batch, num_nodes), dtype=np.uint8))
+            self._swar_scratch[num_nodes] = cached
+        words, octets = cached
+        return (words[0, :batch], words[1, :batch], words[2, :batch],
+                words[3, :batch].view(np.int64), octets[0, :batch],
+                octets[1, :batch].view(bool))
 
     def swar_tables(self, n: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
         """Packed-threshold tables for the SWAR batched kernel (n <= 14).
@@ -171,7 +186,7 @@ class LevelsWorkspace:
                 raise ValueError(
                     f"SWAR kernel supports 1 <= n <= {_SWAR_MAX_DIMENSION}")
             contrib = [0] * (n + 1)
-            tlut = np.full(65, n, dtype=np.int8)
+            tlut = np.full(65, n, dtype=np.int64)
             bias = over = shift = 0
             for t in range(1, n):
                 width = 1 + (max(t + 1, n - t) - 1).bit_length()
@@ -256,95 +271,131 @@ _PACKED_BLOCK_ROWS = 8 * 64
 _SWAR_ONLY_MAX_DIMENSION = 9
 
 
+@lru_cache(maxsize=None)
+def _xor_rows(n: int) -> np.ndarray:
+    """Read-only contiguous ``(n, 2**n)`` index rows: row ``j`` maps each
+    node to its dimension-``j`` neighbor (``neighbor_table(n).T``)."""
+    rows = np.ascontiguousarray(neighbor_table(n).T)
+    rows.setflags(write=False)
+    return rows
+
+
+def _add_neighbors(total: np.ndarray, values: np.ndarray,
+                   xor_rows: np.ndarray, scratch: np.ndarray) -> None:
+    """``total[b, a] += values[b, a ^ 2**j]`` for every dimension ``j``.
+
+    Each dimension is one gather along the rows into ``scratch`` and one
+    contiguous add.  Adds over reversed cube axes would need no scratch,
+    but numpy buffers every ufunc call whose operands do not share one
+    stride order, allocating up to 8192 elements per call.
+    """
+    for rows in xor_rows:
+        np.take(values, rows, axis=1, out=scratch, mode="clip")
+        np.add(total, scratch, out=total)
+
+
 def _batch_block_swar(
-    n: int, masks: np.ndarray, ws: LevelsWorkspace
+    n: int,
+    masks: np.ndarray,
+    ws: LevelsWorkspace,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Definition-1 fixed point for one block of fault masks, SWAR kernel.
 
-    Works for ``n <= 14``.  Levels live in an int8 ``(B, 2**n)`` matrix.
-    One sweep packs every node's threshold counters ``c_1 .. c_{n-1}``
-    (#neighbors with level < t) into the fields of one uint64 laid out by
-    :meth:`LevelsWorkspace.swar_tables` — the field sums are just ``n``
-    adds of the value table along each reversed cube axis, since the
-    dimension-``j`` neighbor of node ``a`` is ``a ^ 2**j``.  Adding the
-    bias makes field ``t`` overflow into its top bit exactly when
-    ``c_t >= t + 1``; the lowest set overflow bit *is* the new level
-    (Definition 1 collapsed to ``S(a) = min{t : c_t >= t+1}``, else ``n``).
-    No gather, no sort, ~n ops per node per sweep, and no fixed cost per
-    64 trials: the cost scales with the rows in the block.
+    Works for ``n <= 14``.  One sweep packs every node's threshold
+    counters ``c_1 .. c_{n-1}`` (#neighbors with level < t) into the
+    fields of one uint64 laid out by :meth:`LevelsWorkspace.swar_tables`
+    — the field sums are just ``n`` adds of the value table gathered
+    along each dimension, since the dimension-``j`` neighbor of node
+    ``a`` is ``a ^ 2**j``.  Adding the bias makes field ``t`` overflow
+    into its top bit exactly when ``c_t >= t + 1``; the lowest set
+    overflow bit *is* the new level (Definition 1 collapsed to
+    ``S(a) = min{t : c_t >= t+1}``, else ``n``).  No sort, ~n ops per
+    node per sweep, and no fixed cost per 64 trials: the cost scales
+    with the rows in the block.
+
+    The levels and rounds go into ``out`` — a ``(B, 2**n)`` int64 matrix
+    and a ``(B,)`` int64 vector, allocated when omitted — which is
+    returned.  Every other ``(B, 2**n)`` array is workspace scratch, and
+    the level and popcount arrays are int64 so the table lookups index
+    without a cast: with a warm workspace a call allocates nothing that
+    grows with the block.  (``mode="clip"`` on the takes: the indices
+    are in range, and the default ``"raise"`` copies ``out``.)
     """
     vlut, tlut, bias, over = ws.swar_tables(n)
+    xor_rows = _xor_rows(n)
     batch, num_nodes = masks.shape
-    levels = np.full((batch, num_nodes), n, dtype=np.int8)
-    levels[masks] = 0
-    rounds = np.zeros(batch, dtype=np.int64)
-    packed, summed = ws.swar_scratch(batch, num_nodes)
+    if out is None:
+        out = (np.empty((batch, num_nodes), dtype=np.int64),
+               np.empty(batch, dtype=np.int64))
+    levels, rounds = out
+    packed, neighbors, summed, gathered, counts, flags = ws.swar_scratch(
+        batch, num_nodes)
     # Sweep 1 collapses analytically: from the all-n start a neighbor
     # contributes to every threshold iff it is faulty, so each counter
     # c_t equals the faulty-neighbor count F and the swept level is 1
     # where F >= 2, else n.  Counting F is an 8-bit add per dimension —
-    # a quarter of the packed sweep's traffic.
-    cnt = np.empty((batch, num_nodes), dtype=np.uint8)
-    cnt_cube = cnt.reshape((batch,) + (2,) * n)
-    mask_cube = masks.view(np.uint8).reshape(cnt_cube.shape)
-    for axis in range(1, n + 1):
-        rev = tuple(
-            slice(None, None, -1) if k == axis else slice(None)
-            for k in range(n + 1)
-        )
-        if axis == 1:
-            cnt_cube[...] = mask_cube[rev]
-        else:
-            np.add(cnt_cube, mask_cube[rev], out=cnt_cube)
-    dropped = (cnt >= 2) & ~masks
+    # a fraction of the packed sweep's traffic.
+    counts.fill(0)
+    _add_neighbors(counts, masks.view(np.uint8), xor_rows,
+                   flags.view(np.uint8))
+    dropped = np.greater_equal(counts, 2, out=flags)
+    np.copyto(dropped, False, where=masks)
+    levels.fill(n)
+    np.copyto(levels, 0, where=masks)
+    np.copyto(levels, 1, where=dropped)
     active = np.flatnonzero(dropped.any(axis=1))
-    if active.size:
-        new_levels = np.where(dropped[active], np.int8(1), np.int8(n))
-        new_levels[masks[active]] = 0
-        levels[active] = new_levels
-        rounds[active] = 1
+    rounds.fill(0)
+    rounds[active] = 1
     for sweep_no in range(2, n + 2):
         b = active.size
         if b == 0:
             break
         # While every row is still active, operate on the block arrays
-        # directly instead of fancy-indexed copies of them.
+        # directly instead of gathered copies of them.  The counts are
+        # spent after sweep 1, so they hold the gathered fault masks.
         full = b == batch
-        sub_levels = levels if full else levels[active]
-        sub_masks = masks if full else masks[active]
-        value = packed[:b]
-        np.take(vlut, sub_levels, out=value)
-        cube = value.reshape((b,) + (2,) * n)
-        total = summed[:b]
+        if full:
+            sub_levels, sub_masks = levels, masks
+        else:
+            sub_levels = np.take(levels, active, axis=0, out=gathered[:b],
+                                 mode="clip")
+            sub_masks = np.take(masks, active, axis=0,
+                                out=counts[:b].view(bool), mode="clip")
+        value = np.take(vlut, sub_levels, out=packed[:b], mode="clip")
         # Seed the accumulator with the bias so it rides along the
         # neighbor adds instead of costing a separate pass.
+        total = summed[:b]
         total.fill(bias)
-        total_cube = total.reshape(cube.shape)
-        for axis in range(1, n + 1):
-            rev = tuple(
-                slice(None, None, -1) if k == axis else slice(None)
-                for k in range(n + 1)
-            )
-            np.add(total_cube, cube[rev], out=total_cube)
+        _add_neighbors(total, value, xor_rows, neighbors[:b])
         total &= over
         # total ^ (total - 1) sets bits 0 .. lowest-set-bit, so its
         # popcount maps through tlut to the level (total == 0 wraps to
-        # all-ones, popcount 64 -> n).  Reuses the value buffer.
+        # all-ones, popcount 64 -> n).  The popcounts overwrite the spent
+        # sums, and the new levels the spent values.
         np.subtract(total, np.uint64(1), out=value)
         np.bitwise_xor(value, total, out=value)
-        new_levels = tlut[np.bitwise_count(value)]
-        new_levels[sub_masks] = 0
-        changed = (new_levels != sub_levels).any(axis=1)
-        still = np.flatnonzero(changed) if full else active[changed]
+        popcounts = np.bitwise_count(value, out=total.view(np.int64))
+        new_levels = np.take(tlut, popcounts, out=value.view(np.int64),
+                             mode="clip")
+        np.copyto(new_levels, 0, where=sub_masks)
+        changed = np.not_equal(new_levels, sub_levels,
+                               out=flags[:b]).any(axis=1)
+        # Rows that did not change get their own levels back.
+        if full:
+            levels[...] = new_levels
+            still = np.flatnonzero(changed)
+        else:
+            levels[active] = new_levels
+            still = active[changed]
         rounds[still] = sweep_no
-        levels[still] = new_levels[changed]
         active = still
     if active.size:
         raise AssertionError(
             "batched safety-level iteration failed to stabilize within n+1 "
             "sweeps; this contradicts Property 1 and indicates a kernel bug"
         )
-    return levels.astype(np.int64), rounds
+    return levels, rounds
 
 
 def compute_safety_levels_batch(
@@ -402,7 +453,8 @@ def compute_safety_levels_batch(
     swar_rows = max(1, _SWAR_BLOCK_BYTES // (8 * num_nodes))
     for lo in range(split, batch, swar_rows):
         hi = min(lo + swar_rows, batch)
-        levels[lo:hi], rounds[lo:hi] = _batch_block_swar(n, masks[lo:hi], ws)
+        _batch_block_swar(n, masks[lo:hi], ws,
+                          out=(levels[lo:hi], rounds[lo:hi]))
     if split:
         record_gs_batch(n, split, "packed", rounds[:split])
     if split < batch:

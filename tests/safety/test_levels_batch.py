@@ -1,5 +1,7 @@
 """Batched safety-level kernel: equivalence with the per-trial path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,58 @@ class TestBatchedKernelEquivalence:
         )
         assert levels.shape == (0, 16)
         assert rounds.shape == (0,)
+
+
+#: perfbench's ``sweep`` cells: (n, fault density, trials per call).
+SWEEP_CELLS = ((8, 0.02, 32), (8, 0.10, 32), (12, 0.02, 16), (12, 0.10, 16))
+
+
+def _cell_masks(n, density, batch, seed):
+    topo = Hypercube(n)
+    count = round(density * topo.num_nodes)
+    return topo, uniform_node_fault_masks(topo, count,
+                                          iter_trial_rngs(seed, batch))
+
+
+class TestSteadyStateScratch:
+    """With a warm workspace the SWAR kernel sweeps in its scratch: a
+    call allocates its result and little else, and never hands out the
+    scratch itself."""
+
+    @pytest.mark.parametrize("n,density,batch", SWEEP_CELLS)
+    def test_warm_call_peaks_near_its_result(self, n, density, batch):
+        # tracemalloc sees numpy's data buffers, so the peak counts every
+        # temporary the call makes.
+        topo, masks = _cell_masks(n, density, batch, seed=n)
+        ws = LevelsWorkspace()
+        compute_safety_levels_batch(topo, masks, ws)
+        tracemalloc.start()
+        try:
+            levels = compute_safety_levels_batch(topo, masks, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * levels.nbytes, peak / levels.nbytes
+
+    @pytest.mark.parametrize("n,density,batch", SWEEP_CELLS[1::2])
+    def test_results_survive_the_next_call(self, n, density, batch):
+        topo, first_masks = _cell_masks(n, density, batch, seed=1)
+        _, second_masks = _cell_masks(n, density / 2, batch, seed=2)
+        ws = LevelsWorkspace()
+        levels, rounds = compute_safety_levels_batch(
+            topo, first_masks, ws, return_rounds=True)
+        kept = levels.copy(), rounds.copy()
+        compute_safety_levels_batch(topo, second_masks, ws,
+                                    return_rounds=True)
+        assert np.array_equal(levels, kept[0])
+        assert np.array_equal(rounds, kept[1])
+        for i, row in enumerate(first_masks):
+            faults = FaultSet(nodes=np.flatnonzero(row).tolist())
+            assert np.array_equal(levels[i],
+                                  compute_safety_levels(topo, faults)), i
+            ref_levels, ref_rounds = compute_levels_with_rounds(topo, faults)
+            assert np.array_equal(levels[i], ref_levels), i
+            assert rounds[i] == ref_rounds, i
 
 
 class TestMaskGenerator:
