@@ -23,7 +23,6 @@ from .dynamic import (
     DynamicLevelTracker,
     DynamicRunResult,
     IncrementalLevelView,
-    recompute_incremental,
 )
 from .egs_distributed import EgsProcess, EgsRun, run_egs
 from .gh_distributed import GhGsRun, GhStatusProcess, run_gh_gs
@@ -61,7 +60,6 @@ __all__ = [
     "DynamicLevelTracker",
     "DynamicRunResult",
     "IncrementalLevelView",
-    "recompute_incremental",
     "EgsProcess",
     "EgsRun",
     "run_egs",

@@ -11,27 +11,25 @@ FaultSchedule` tick by tick under a policy and accounts for
 * **GS traffic** — exact message counts of the state-change-driven
   (on-change) protocol, reproduced analytically from the vectorized sweeps
   (a level change costs one message per healthy neighbor, per round); the
-  analytic count is cross-validated against the simulator in the tests.
+  analytic count of :func:`~repro.safety.levels.relax_levels` is
+  cross-validated against the simulator in the tests.
   A periodic refresh is an unconditional exchange instead: every healthy
   node sends to each healthy neighbor in every round the refresh runs
   (at least one, even when nothing changed);
 * **staleness** — ticks during which the routing layer acts on levels
   that no longer match the true fixed point.
 
-Incremental recomputation exploits locality and monotonicity.  The
-conservative helper :func:`recompute_incremental` warm-starts from the
-previous assignment when only failures occurred (the new fixed point is
-pointwise lower) and restarts cold after any recovery; the view and the
-tracker instead ride :class:`~repro.safety.incremental.
-IncrementalLevelEngine`, which handles failures *and* recoveries as
-dirty-set deltas with accounting bit-identical to the warm-started
-whole-cube iteration (see that module for the argument).
+Incremental recomputation exploits locality: the view and the tracker
+ride :class:`~repro.safety.incremental.IncrementalLevelEngine`, which
+handles failures *and* recoveries as dirty-set deltas with accounting
+bit-identical to the warm-started whole-cube loop (see that module for
+the argument).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Literal, Optional, Tuple
+from typing import Any, Dict, List, Literal
 
 import numpy as np
 
@@ -39,10 +37,8 @@ from ..core.fault_models import FaultSchedule
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
 from ..results import base_record
-from .levels import _sweep
 
 __all__ = [
-    "recompute_incremental",
     "IncrementalLevelView",
     "TickRecord",
     "DynamicRunResult",
@@ -50,55 +46,6 @@ __all__ = [
 ]
 
 Policy = Literal["state-change", "periodic"]
-
-
-def _gs_message_cost(topo: Hypercube, faults: FaultSet,
-                     start: Optional[np.ndarray]) -> Tuple[np.ndarray, int, int]:
-    """Run the (possibly warm-started) fixed point, counting on-change
-    protocol messages exactly.
-
-    Returns ``(levels, rounds, messages)``.  A node that changes level in
-    a round transmits to each healthy neighbor — identical accounting to
-    :class:`~repro.safety.gs.GsProcess` in ``on-change`` mode.
-    """
-    n = topo.dimension
-    table = topo.neighbor_table()
-    faulty = faults.node_mask(topo.num_nodes)
-    healthy_degree = (~faulty[table]).sum(axis=1)
-    if start is None:
-        levels = np.full(topo.num_nodes, n, dtype=np.int64)
-    else:
-        levels = np.array(start, dtype=np.int64, copy=True)
-        levels[~faulty & (levels == 0)] = n  # recovered nodes re-enter at n
-    levels[faulty] = 0
-    staircase = np.arange(n, dtype=np.int64)[None, :]
-    scratch = np.empty((topo.num_nodes, n), dtype=np.int64)
-    rounds = 0
-    messages = 0
-    for sweep_no in range(1, topo.num_nodes + 2):
-        before = levels.copy()
-        if _sweep(levels, table, faulty, staircase, scratch) == 0:
-            return levels, rounds, messages
-        changed = np.nonzero(levels != before)[0]
-        messages += int(healthy_degree[changed].sum())
-        rounds = sweep_no
-    raise AssertionError("dynamic GS failed to stabilize")
-
-
-def recompute_incremental(
-    topo: Hypercube,
-    faults: FaultSet,
-    previous: Optional[np.ndarray],
-    had_recovery: bool,
-) -> Tuple[np.ndarray, int, int]:
-    """New fixed point plus (rounds, messages) of the on-change protocol.
-
-    Warm-starts from ``previous`` when only failures occurred (monotone —
-    the fresh fixed point is pointwise lower, so the downward iteration
-    from the old assignment is valid); restarts cold after any recovery.
-    """
-    start = None if (previous is None or had_recovery) else previous
-    return _gs_message_cost(topo, faults, start)
 
 
 class IncrementalLevelView:
@@ -112,12 +59,11 @@ class IncrementalLevelView:
     against the previous one and hands the delta to an
     :class:`~repro.safety.incremental.IncrementalLevelEngine`, which
     re-stabilizes only the perturbed region — recoveries included
-    (recovered nodes re-enter at ``n``, the warm-start convention of
-    :func:`_gs_message_cost`), so no refresh silently degrades to a full
-    recompute.  The accumulated GS rounds/messages are bit-identical to
-    what the full warm-started protocol run would have cost on the wire,
-    so harness-level refreshes stay honest about the traffic they stand
-    in for.
+    (recovered nodes re-enter at ``n``), so no refresh silently degrades
+    to a full recompute.  The accumulated GS rounds/messages are
+    bit-identical to what the full warm-started protocol run would have
+    cost on the wire, so harness-level refreshes stay honest about the
+    traffic they stand in for.
 
     Link faults in the supplied fault set are carried on the wrapped
     :class:`~repro.safety.levels.SafetyLevels` but ignored by the level
@@ -153,15 +99,10 @@ class IncrementalLevelView:
         levels.setflags(write=False)
         return self._sl_cls(topo=self.topo, faults=faults, levels=levels)
 
-    def refresh(self, faults: FaultSet, had_recovery: bool = False):
+    def refresh(self, faults: FaultSet):
         """Reconverge on ``faults`` and return the new
-        :class:`~repro.safety.levels.SafetyLevels` view.
-
-        ``had_recovery`` is retained for API compatibility but no longer
-        forces a cold restart — the engine handles recoveries
-        incrementally.
-        """
-        del had_recovery  # the engine derives recoveries from the diff
+        :class:`~repro.safety.levels.SafetyLevels` view (the engine
+        derives failures and recoveries from the diff)."""
         self._engine.set_faults(faults)
         self.refreshes += 1
         self.view = self._wrap(faults)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.faults import FaultSet
 from ..core.generalized import GeneralizedHypercube
-from .levels import level_from_sorted
+from .levels import level_from_sorted, levels_from_rows
 
 __all__ = [
     "compute_gh_safety_levels",
@@ -71,15 +71,10 @@ def gh_levels_with_rounds(
     faulty = faults.node_mask(num)
     levels = np.full(num, n, dtype=np.int64)
     levels[faulty] = 0
-    staircase = np.arange(n, dtype=np.int64)[None, :]
     mins = np.empty((num, n), dtype=np.int64)
     rounds = 0
     for sweep_no in range(1, n + 2):
-        _dim_minima(levels, tables, mins)
-        mins.sort(axis=1)
-        below = mins < staircase
-        any_below = below.any(axis=1)
-        new = np.where(any_below, np.argmax(below, axis=1), n).astype(np.int64)
+        new = levels_from_rows(_dim_minima(levels, tables, mins))
         new[faulty] = 0
         if np.array_equal(new, levels):
             return levels, rounds

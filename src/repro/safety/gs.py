@@ -36,8 +36,7 @@ from ..simcore.network import Network
 from ..simcore.sync import BspProcess, RoundExecutor, RoundsResult
 from .levels import (
     LevelsWorkspace,
-    _DEFAULT_WORKSPACE,
-    _sweep,
+    compute_levels_with_rounds,
     compute_safety_levels_batch,
     level_from_sorted,
 )
@@ -156,36 +155,6 @@ def run_gs(
         assert isinstance(proc, GsProcess)
         levels[node] = proc.my_level
     return GsRun(levels=levels, rounds=result, network=net)
-
-
-def compute_levels_with_rounds(
-    topo: Hypercube,
-    faults: FaultSet,
-    workspace: Optional[LevelsWorkspace] = None,
-) -> tuple[np.ndarray, int]:
-    """Vectorized GS: final levels plus the stabilization round.
-
-    One numpy sweep corresponds exactly to one synchronous GS round, so the
-    count of change-bearing sweeps equals the distributed protocol's
-    stabilization round (cross-checked in tests).  This is the per-trial
-    kernel behind the Fig. 2 Monte-Carlo; whole sweep cells should prefer
-    :func:`stabilization_rounds_batch`, which runs every trial of a cell
-    in one numpy computation.
-    """
-    n = topo.dimension
-    table = topo.neighbor_table()
-    faulty = faults.node_mask(topo.num_nodes)
-    levels = np.full(topo.num_nodes, n, dtype=np.int64)
-    levels[faulty] = 0
-    ws = workspace if workspace is not None else _DEFAULT_WORKSPACE
-    staircase = ws.staircase(n)[None, :]
-    scratch = ws.gather(1, topo.num_nodes, n)[0]
-    rounds = 0
-    for sweep_no in range(1, n + 2):
-        if _sweep(levels, table, faulty, staircase, scratch) == 0:
-            return levels, rounds
-        rounds = sweep_no
-    raise AssertionError("GS failed to stabilize within n+1 sweeps")
 
 
 def stabilization_rounds_fast(topo: Hypercube, faults: FaultSet) -> int:

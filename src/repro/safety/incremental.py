@@ -8,30 +8,31 @@ owns a fixed-point assignment and updates it through
 :meth:`~IncrementalLevelEngine.apply_delta`:
 
 1. **Seed.**  Newly faulty nodes drop to level 0 and recovered nodes
-   re-enter at ``n`` (the same conventions the warm-started protocol run
-   in :func:`repro.safety.dynamic._gs_message_cost` applies to its start
-   state — neither assignment is protocol traffic).  The dirty seed is
-   every healthy neighbor of a toggled node plus the recovered nodes
-   themselves: exactly the nodes whose next synchronous evaluation can
-   differ.
+   re-enter at ``n`` (start-state conventions, not protocol traffic).
+   The dirty seed is every healthy neighbor of a toggled node plus the
+   recovered nodes themselves: exactly the nodes whose next synchronous
+   evaluation can differ.
 2. **Waves.**  Each wave Jacobi-evaluates the current frontier against
-   the pre-wave state, applies the changes, and seeds the next frontier
-   with the healthy neighbors of the changed nodes.  By induction every
-   node outside a frontier is locally consistent, so wave ``k``'s changed
-   set equals the changed set of full synchronous sweep ``k`` — rounds
-   and on-change message counts are therefore *identical* to running the
-   distributed GS protocol over the whole cube, while the work done is
-   proportional to the perturbed region only.
+   the pre-wave state with the Definition-1 row rule
+   (:func:`~repro.safety.levels.levels_from_rows`), applies the changes,
+   and seeds the next frontier with the healthy neighbors of the changed
+   nodes.  By induction every node outside a frontier is locally
+   consistent, so wave ``k``'s changed set equals the changed set of full
+   synchronous sweep ``k`` — rounds and on-change message counts are
+   therefore *identical* to the whole-cube loop
+   :func:`~repro.safety.levels.relax_levels` from the same start state,
+   while the work done is proportional to the perturbed region only.
 3. **Termination.**  The synchronous iterate is monotone, so from any
    start state it is sandwiched between the iterates from the all-0 and
    all-``n`` states, both of which converge to the *unique* fixed point
    (Theorem 1); a wave with no changes certifies global stability.
 
+The engine boots with that whole-cube loop from the all-``n`` start.
 When a delta touches so much of the cube that per-wave bookkeeping would
 cost more than whole-array sweeps (seed larger than a quarter of the
-cube), the engine falls back to the full-array warm-started iteration —
-same start state, same accounting, just evaluated without a dirty set —
-and counts the fallback for observability.
+cube), the engine runs the loop warm on its own levels instead — same
+start state, same accounting, just evaluated without a dirty set — and
+counts the fallback for observability.
 
 The engine reports per-delta :class:`DeltaStats` to the observability
 registry (``safety.incremental_*`` counters, dirty-set and wave
@@ -49,6 +50,7 @@ import numpy as np
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
 from ..obs.instruments import record
+from .levels import levels_from_rows, relax_levels
 
 __all__ = ["DeltaStats", "IncrementalLevelEngine"]
 
@@ -63,8 +65,8 @@ class DeltaStats:
 
     ``rounds`` and ``messages`` are the change-bearing synchronous rounds
     and on-change protocol messages the update *would have cost on the
-    wire* — bit-identical to the warm-started full-cube accounting in
-    :func:`repro.safety.dynamic._gs_message_cost`.  ``dirty_seed`` /
+    wire* — bit-identical to the warm-started whole-cube loop
+    :func:`repro.safety.levels.relax_levels`.  ``dirty_seed`` /
     ``dirty_total`` / ``changed`` measure the work the incremental wave
     evaluation actually performed instead.
     """
@@ -100,7 +102,6 @@ class IncrementalLevelEngine:
         self._table = topo.neighbor_table()
         self._n = topo.dimension
         self._num_nodes = topo.num_nodes
-        self._staircase = np.arange(self._n, dtype=np.int64)[None, :]
         self.faults = faults if faults is not None else FaultSet()
         self._mask = self.faults.node_mask(self._num_nodes)
         #: Cumulative protocol cost across the engine's lifetime.
@@ -108,8 +109,8 @@ class IncrementalLevelEngine:
         self.gs_messages = 0
         self.updates = 0
         self.fallbacks = 0
-        levels, rounds, messages = self._full_sweeps(start=None)
-        self._levels = levels
+        self._levels = np.full(self._num_nodes, self._n, dtype=np.int64)
+        rounds, messages = relax_levels(self._levels, self._mask)
         if _boot:
             # The cold boot is the distributed protocol's initial
             # stabilization — real traffic, charged to the engine.
@@ -124,26 +125,6 @@ class IncrementalLevelEngine:
         view = self._levels.view()
         view.setflags(write=False)
         return view
-
-    # -- the update rule -----------------------------------------------------
-
-    def _evaluate(self, nodes: np.ndarray) -> np.ndarray:
-        """Definition 1 applied to ``nodes`` against the current state
-        (Jacobi: reads only, callers apply the result)."""
-        gathered = self._levels[self._table[nodes]]
-        gathered.sort(axis=1)
-        below = gathered < self._staircase
-        return np.where(below.any(axis=1), np.argmax(below, axis=1),
-                        self._n).astype(np.int64)
-
-    def _full_sweeps(
-        self, start: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, int, int]:
-        """Whole-array warm/cold iteration with on-change accounting
-        (the :func:`~repro.safety.dynamic._gs_message_cost` loop)."""
-        from .dynamic import _gs_message_cost
-
-        return _gs_message_cost(self.topo, self.faults, start)
 
     # -- deltas --------------------------------------------------------------
 
@@ -194,8 +175,7 @@ class IncrementalLevelEngine:
         seed = np.unique(np.concatenate([nbrs[~self._mask[nbrs]],
                                          remove_arr]))
         if seed.size > self._num_nodes // _FALLBACK_FRACTION:
-            levels, rounds, messages = self._full_sweeps(start=self._levels)
-            self._levels = levels
+            rounds, messages = relax_levels(self._levels, self._mask)
             stats = DeltaStats(
                 added=int(add_arr.size), removed=int(remove_arr.size),
                 dirty_seed=int(seed.size), dirty_total=0, changed=0,
@@ -231,7 +211,7 @@ class IncrementalLevelEngine:
                     "this contradicts Theorem 1 and indicates an engine bug"
                 )
             dirty_total += int(frontier.size)
-            new_vals = self._evaluate(frontier)
+            new_vals = levels_from_rows(self._levels[table[frontier]])
             diff = new_vals != self._levels[frontier]
             ch = frontier[diff]
             if ch.size == 0:

@@ -14,12 +14,15 @@ rule collapses to::
 
     S(a) = min { j : S_j < j }        (or n if no such j)
 
-which is exactly what :func:`level_from_sorted` computes and what the
-vectorized kernel evaluates for all nodes at once.
+which is exactly what :func:`level_from_sorted` computes for one node and
+:func:`levels_from_rows` for many at once.
 
 The global assignment is the unique fixed point of this rule (Theorem 1).
 Iterating from the all-``n`` initial state (the GS initialisation) converges
 monotonically downward in at most ``n - 1`` sweeps (Property 1 corollary).
+:func:`relax_levels` is that iteration over a whole cube, from any start
+state; every per-cube caller (GS rounds, on-change message counts, EGS
+phase 1, the incremental engine's boot and fallback) runs it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,10 @@ _SWAR_MAX_DIMENSION = 14
 __all__ = [
     "level_from_sorted",
     "level_of_node",
+    "levels_from_rows",
+    "relax_levels",
     "LevelsWorkspace",
+    "compute_levels_with_rounds",
     "compute_safety_levels",
     "compute_safety_levels_batch",
     "compute_safety_levels_async",
@@ -71,31 +77,65 @@ def level_of_node(neighbor_levels: Sequence[int]) -> int:
     return level_from_sorted(sorted(neighbor_levels))
 
 
-def _sweep(levels: np.ndarray, table: np.ndarray, faulty: np.ndarray,
-           staircase: np.ndarray, scratch: np.ndarray) -> int:
-    """One synchronous relaxation sweep; returns #nodes whose level changed.
+def levels_from_rows(rows: np.ndarray) -> np.ndarray:
+    """Definition 1 for each row of gathered neighbor levels.
 
-    ``scratch`` is a preallocated ``(N, n)`` buffer reused across sweeps so
-    the hot loop performs no allocations beyond numpy temporaries.
+    Sorts ``rows`` (``(k, n)`` int64) in place and returns the ``(k,)``
+    int64 levels ``min{j : S_j < j}``, or ``n`` where no ``j`` qualifies.
     """
-    np.take(levels, table, out=scratch)
-    scratch.sort(axis=1)
-    below = scratch < staircase  # (N, n): S_j < j
-    any_below = below.any(axis=1)
-    first_fail = np.argmax(below, axis=1)
-    n = table.shape[1]
-    new_levels = np.where(any_below, first_fail, n).astype(levels.dtype)
-    new_levels[faulty] = 0
-    changed = int(np.count_nonzero(new_levels != levels))
-    levels[:] = new_levels
-    return changed
+    rows.sort(axis=1)
+    n = rows.shape[1]
+    below = rows < np.arange(n)
+    first = np.argmax(below, axis=1)
+    # Levels are nonnegative, so S_0 < 0 never holds: argmax 0 means no
+    # j qualifies.
+    return np.where(first == 0, n, first)
+
+
+def relax_levels(levels: np.ndarray, pinned: np.ndarray,
+                 scratch: Optional[np.ndarray] = None) -> Tuple[int, int]:
+    """Iterate Definition 1 over a whole cube until nothing changes.
+
+    ``levels`` (int64, length ``2**n``) is the start state and is relaxed
+    in place by synchronous (Jacobi) sweeps; ``pinned`` nodes are held at
+    0.  Returns ``(rounds, messages)``: the change-bearing sweeps, and one
+    on-change protocol message per unpinned neighbor of every node that
+    changed in a sweep — the accounting of
+    :class:`~repro.safety.gs.GsProcess` in ``on-change`` mode.
+    ``scratch`` is an optional ``(2**n, n)`` int64 gather buffer.
+
+    From the all-``n`` start the iteration settles within ``n - 1`` sweeps
+    (Property 1 corollary).  A warm start may move levels either way; it
+    is allowed ``2**n + 1`` sweeps, and exceeding them raises.
+    """
+    num_nodes = levels.shape[0]
+    n = num_nodes.bit_length() - 1
+    table = neighbor_table(n)
+    if scratch is None:
+        scratch = np.empty((num_nodes, n), dtype=np.int64)
+    levels[pinned] = 0
+    rounds = messages = 0
+    for sweep_no in range(1, num_nodes + 2):
+        new_levels = levels_from_rows(np.take(levels, table, out=scratch))
+        np.copyto(new_levels, 0, where=pinned)
+        changed = np.flatnonzero(new_levels != levels)
+        if changed.size == 0:
+            return rounds, messages
+        levels[...] = new_levels
+        rounds = sweep_no
+        messages += changed.size * n - int(
+            np.count_nonzero(pinned[table[changed]]))
+    raise AssertionError(
+        "safety-level iteration failed to stabilize within 2**n + 1 "
+        "sweeps; this contradicts Theorem 1 and indicates a kernel bug"
+    )
 
 
 class LevelsWorkspace:
     """Reusable scratch buffers for the safety-level kernels.
 
-    The vectorized kernels need an identity staircase, a gather buffer of
-    shape ``(batch, 2**n, n)``, and (for the batched SWAR kernel) packed
+    The vectorized kernels need a gather buffer of shape
+    ``(batch, 2**n, n)`` and (for the batched SWAR kernel) packed
     threshold tables plus six ``(batch, 2**n)`` sweep arrays: packed
     contributions, their gather along one dimension and the field sums
     (uint64), the active rows' gathered levels (int64, so they index the
@@ -111,22 +151,12 @@ class LevelsWorkspace:
     kernel returns a view of one — results are always fresh arrays.
     """
 
-    __slots__ = ("_staircases", "_gathers", "_swar", "_swar_scratch")
+    __slots__ = ("_gathers", "_swar", "_swar_scratch")
 
     def __init__(self) -> None:
-        self._staircases: Dict[int, np.ndarray] = {}
         self._gathers: Dict[Tuple[int, int], np.ndarray] = {}
         self._swar: Dict[int, Tuple[np.ndarray, np.ndarray, int, int]] = {}
         self._swar_scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def staircase(self, n: int) -> np.ndarray:
-        """Read-only ``(0, 1, ..., n-1)`` row for Definition-1 comparisons."""
-        arr = self._staircases.get(n)
-        if arr is None:
-            arr = np.arange(n, dtype=np.int64)
-            arr.setflags(write=False)
-            self._staircases[n] = arr
-        return arr
 
     def gather(self, batch: int, num_nodes: int, n: int) -> np.ndarray:
         """A ``(batch, num_nodes, n)`` int64 scratch view (uninitialized)."""
@@ -209,6 +239,40 @@ class LevelsWorkspace:
 _DEFAULT_WORKSPACE = LevelsWorkspace()
 
 
+def compute_levels_with_rounds(
+    topo: Hypercube,
+    faults: FaultSet,
+    workspace: Optional[LevelsWorkspace] = None,
+) -> Tuple[np.ndarray, int]:
+    """Vectorized GS: final levels plus the stabilization round.
+
+    :func:`relax_levels` from the all-``n`` start.  One sweep corresponds
+    exactly to one synchronous GS round, so the count of change-bearing
+    sweeps equals the distributed protocol's stabilization round
+    (cross-checked in tests).  This is the per-trial kernel; whole
+    Monte-Carlo cells should prefer :func:`compute_safety_levels_batch`,
+    which runs every trial of a cell in one numpy computation.
+
+    Returns an int64 vector of length ``2**n`` (faulty nodes hold 0) and
+    the round.  ``workspace`` defaults to a module-level scratch cache so
+    tight trial loops do not reallocate the ``(2**n, n)`` gather buffer
+    every call.
+    """
+    n = topo.dimension
+    levels = np.full(topo.num_nodes, n, dtype=np.int64)
+    ws = workspace if workspace is not None else _DEFAULT_WORKSPACE
+    rounds, _ = relax_levels(levels, faults.node_mask(topo.num_nodes),
+                             ws.gather(1, topo.num_nodes, n)[0])
+    # The monotone iteration provably needs at most n-1 sweeps to reach the
+    # fixed point (Property 1 corollary); one extra confirms stability.
+    if rounds > n:
+        raise AssertionError(
+            "safety-level iteration failed to stabilize within n+1 sweeps; "
+            "this contradicts Property 1 and indicates a kernel bug"
+        )
+    return levels, rounds
+
+
 def compute_safety_levels(
     topo: Hypercube,
     faults: FaultSet,
@@ -216,14 +280,8 @@ def compute_safety_levels(
 ) -> np.ndarray:
     """The unique safety-level assignment of a faulty binary n-cube.
 
-    Vectorized greatest-fixed-point iteration: start every nonfaulty node
-    at ``n`` and resweep until no level changes.  Equivalent to the
-    distributed GS algorithm (cross-validated in the test suite), but each
-    "round" is one fancy-indexed gather + row sort over the whole cube.
-
-    Returns an int64 vector of length ``2**n``; faulty nodes hold 0.
-    ``workspace`` defaults to a module-level scratch cache so tight trial
-    loops do not reallocate the ``(2**n, n)`` gather buffer every call.
+    The levels of :func:`compute_levels_with_rounds`: an int64 vector of
+    length ``2**n``; faulty nodes hold 0.
 
     Note: link faults are outside Definition 1 — use
     :mod:`repro.safety.link_faults` for cubes with faulty links.
@@ -233,23 +291,7 @@ def compute_safety_levels(
             "compute_safety_levels handles node faults only; use "
             "repro.safety.link_faults.compute_extended_levels for link faults"
         )
-    n = topo.dimension
-    table = neighbor_table(n)
-    faulty = faults.node_mask(topo.num_nodes)
-    levels = np.full(topo.num_nodes, n, dtype=np.int64)
-    levels[faulty] = 0
-    ws = workspace if workspace is not None else _DEFAULT_WORKSPACE
-    staircase = ws.staircase(n)[None, :]
-    scratch = ws.gather(1, topo.num_nodes, n)[0]
-    # The monotone iteration provably needs at most n-1 sweeps to reach the
-    # fixed point (Property 1 corollary); one extra confirms stability.
-    for _ in range(n + 1):
-        if _sweep(levels, table, faulty, staircase, scratch) == 0:
-            return levels
-    raise AssertionError(
-        "safety-level iteration failed to stabilize within n+1 sweeps; "
-        "this contradicts Property 1 and indicates a kernel bug"
-    )
+    return compute_levels_with_rounds(topo, faults, workspace)[0]
 
 
 #: Byte size of one ``(block, 2**n)`` uint64 scratch array of the SWAR
@@ -425,8 +467,8 @@ def compute_safety_levels_batch(
     Returns the ``(B, 2**n)`` int64 level matrix; with ``return_rounds``
     also the ``(B,)`` per-trial stabilization round (the count of
     change-bearing synchronous sweeps — exactly what
-    :func:`repro.safety.gs.compute_levels_with_rounds` reports trial by
-    trial, cross-checked in the test suite).
+    :func:`compute_levels_with_rounds` reports trial by trial,
+    cross-checked in the test suite).
     """
     masks = np.asarray(fault_masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1] != topo.num_nodes:

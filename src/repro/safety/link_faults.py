@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.faults import FaultSet
 from ..core.hypercube import Hypercube
-from .levels import level_from_sorted
+from .levels import level_from_sorted, relax_levels
 
 __all__ = ["ExtendedSafetyLevels", "compute_extended_levels"]
 
@@ -99,29 +99,16 @@ def compute_extended_levels(
     faults.validate(topo)
     n = topo.dimension
     num = topo.num_nodes
-    table = topo.neighbor_table()
 
     n2 = faults.nodes_with_faulty_links(topo)
-    faulty_mask = faults.node_mask(num)
-    pinned = faulty_mask.copy()
-    for v in n2:
-        pinned[v] = True
+    pinned = faults.node_mask(num)
+    pinned[sorted(n2)] = True
 
-    # Phase 1: ordinary GS over N1 with F and N2 pinned at level 0.  Reuse
-    # the monotone sweep directly (the levels kernel would reject link
-    # faults, and here the pinned mask intentionally differs from the
-    # genuine fault mask).
-    from .levels import _sweep  # shared private kernel
-
+    # Phase 1: ordinary GS over N1 with F and N2 pinned at level 0 (the
+    # levels kernels would reject link faults, and here the pinned mask
+    # intentionally differs from the genuine fault mask).
     levels = np.full(num, n, dtype=np.int64)
-    levels[pinned] = 0
-    staircase = np.arange(n, dtype=np.int64)[None, :]
-    scratch = np.empty((num, n), dtype=np.int64)
-    for _ in range(n + 1):
-        if _sweep(levels, table, pinned, staircase, scratch) == 0:
-            break
-    else:  # pragma: no cover - monotone iteration always stabilizes
-        raise AssertionError("EGS phase 1 failed to stabilize")
+    relax_levels(levels, pinned)
     public = levels
 
     # Phase 2: each N2 node evaluates NODE_STATUS once for itself.  Far

@@ -82,7 +82,8 @@ def _packed_sweep(
     """One synchronous sweep, word-parallel; returns (Wb,) changed lanes.
 
     Reads the pre-sweep state from ``planes`` and writes the swept state
-    into ``new_planes`` (Jacobi, exactly like ``levels._sweep``).
+    into ``new_planes`` (Jacobi, exactly like one sweep of
+    ``levels.relax_levels``).
     """
     wb, num_nodes = fault_w.shape
     cube_shape = (wb,) + (2,) * n

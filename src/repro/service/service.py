@@ -86,17 +86,6 @@ def condition_string(code: int) -> str:
     return _CONDITION_BY_CODE[code].value
 
 
-def _popcount64(values: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit popcount (SWAR) for Hamming distances."""
-    x = np.abs(values).astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = ((x & np.uint64(0x3333333333333333))
-         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101))
-            >> np.uint64(56)).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables for one :class:`RoutingService` instance.
@@ -348,7 +337,7 @@ class RoutingService:
         status = np.full(total, REJECTED_CODE, dtype=np.uint8)
         condition = np.full(total, _CONDITION_NONE_CODE, dtype=np.uint8)
         hops = np.zeros(total, dtype=np.int64)
-        hamming = _popcount64(srcs ^ dsts)
+        hamming = np.bitwise_count(srcs ^ dsts).astype(np.int64)
         step = self.config.max_batch
         for lo in range(0, len(keep), step):
             if lo:

@@ -6,47 +6,64 @@ import pytest
 from repro.core import FaultSet, Hypercube, uniform_node_faults
 from repro.core.fault_models import FaultEvent, FaultSchedule
 from repro.safety import compute_safety_levels, run_gs
-from repro.safety.dynamic import (
-    DynamicLevelTracker,
-    recompute_incremental,
-)
+from repro.safety.dynamic import DynamicLevelTracker
+from repro.safety.levels import relax_levels
+
+
+def _relax(topo, faults, start=None):
+    """``(levels, rounds, messages)`` of the whole-cube loop on
+    ``faults``, warm from a copy of ``start`` or cold from all-``n``."""
+    if start is None:
+        levels = np.full(topo.num_nodes, topo.dimension, dtype=np.int64)
+    else:
+        levels = np.array(start, dtype=np.int64)
+    rounds, messages = relax_levels(levels, faults.node_mask(topo.num_nodes))
+    return levels, rounds, messages
 
 
 class TestIncrementalRecompute:
+    """The whole-cube loop that the incremental engine's waves are
+    checked against, checked here against the simulator."""
+
     def test_cold_start_matches_batch(self, q5, rng):
         for _ in range(5):
             faults = uniform_node_faults(q5, 8, rng)
-            levels, _r, _m = recompute_incremental(q5, faults, None, False)
+            levels, _r, _m = _relax(q5, faults)
             assert np.array_equal(levels, compute_safety_levels(q5, faults))
 
     def test_message_count_matches_distributed_protocol(self, q4, rng):
         """The analytic on-change accounting equals the simulator's."""
         for _ in range(10):
             faults = uniform_node_faults(q4, int(rng.integers(0, 9)), rng)
-            _levels, rounds, messages = recompute_incremental(
-                q4, faults, None, False)
+            _levels, rounds, messages = _relax(q4, faults)
             gs = run_gs(q4, faults, policy="on-change")
             assert messages == gs.messages_sent
             assert rounds == gs.stabilization_round
 
     def test_warm_start_after_failure_only(self, q5, rng):
         base = uniform_node_faults(q5, 4, rng)
-        prev, _r, _m = recompute_incremental(q5, base, None, False)
+        prev, _r, _m = _relax(q5, base)
         extra_node = next(v for v in q5.iter_nodes()
                           if v not in base.nodes)
         grown = base.with_nodes([extra_node])
-        warm, _r2, warm_msgs = recompute_incremental(q5, grown, prev, False)
-        cold, _r3, cold_msgs = recompute_incremental(q5, grown, None, False)
+        warm, _r2, warm_msgs = _relax(q5, grown, prev)
+        cold, _r3, cold_msgs = _relax(q5, grown)
         assert np.array_equal(warm, cold)
         assert warm_msgs <= cold_msgs  # warm start can only be cheaper
 
     def test_recovery_restart_is_correct(self, q4, rng):
         faults = uniform_node_faults(q4, 5, rng)
-        prev, _r, _m = recompute_incremental(q4, faults, None, False)
+        prev, _r, _m = _relax(q4, faults)
         recovered = FaultSet(nodes=sorted(faults.nodes)[1:])
-        levels, _r2, _m2 = recompute_incremental(q4, recovered, prev, True)
+        levels, _r2, _m2 = _relax(q4, recovered)
         assert np.array_equal(levels,
                               compute_safety_levels(q4, recovered))
+        # Warm from the old assignment, the recovered node re-entering
+        # at n, reaches the same fixed point.
+        start = prev.copy()
+        start[sorted(faults.nodes)[0]] = q4.dimension
+        warm, _r3, _m3 = _relax(q4, recovered, start)
+        assert np.array_equal(warm, levels)
 
 
 class TestTracker:

@@ -12,7 +12,7 @@ from repro.safety import (
     run_gs,
     stabilization_rounds_fast,
 )
-from repro.safety.levels import _sweep
+from repro.safety.levels import levels_from_rows
 
 
 class TestDistributedGs:
@@ -78,20 +78,24 @@ class TestProperty1:
 
     @staticmethod
     def _adoption_rounds(topo, faults):
-        """Round in which each node last changed its level (0 = never)."""
+        """Round in which each node last changed its level (0 = never),
+        sweeping the Definition-1 row rule one synchronous round at a
+        time."""
         n = topo.dimension
         table = topo.neighbor_table()
         faulty = faults.node_mask(topo.num_nodes)
         levels = np.full(topo.num_nodes, n, dtype=np.int64)
         levels[faulty] = 0
-        staircase = np.arange(n, dtype=np.int64)[None, :]
-        scratch = np.empty((topo.num_nodes, n), dtype=np.int64)
         adopted = np.zeros(topo.num_nodes, dtype=np.int64)
         for round_no in range(1, n + 2):
-            before = levels.copy()
-            if _sweep(levels, table, faulty, staircase, scratch) == 0:
+            new = levels_from_rows(levels[table])
+            new[faulty] = 0
+            changed = new != levels
+            if not changed.any():
                 break
-            adopted[levels != before] = round_no
+            adopted[changed] = round_no
+            levels = new
+        assert np.array_equal(levels, compute_safety_levels(topo, faults))
         return levels, adopted
 
     def test_unsafe_nodes_stabilize_by_their_level(self, q5, rng):

@@ -4,9 +4,10 @@ The engine claims that after any sequence of fault add/remove deltas it
 holds exactly the Definition-1 fixed point a cold recompute would
 produce (Theorem 1: the fixed point is unique), and that its frontier
 waves charge the same rounds and messages as the warm-started
-synchronous sweep accounting in :func:`~repro.safety.dynamic._gs_message_cost`.
-These tests pin both claims, the fallback heuristic, the delta
-validation, and the view/tracker integration on top.
+whole-cube loop :func:`~repro.safety.levels.relax_levels` (itself checked
+against the simulator's ``run_gs`` in ``test_dynamic.py``).  These tests
+pin both claims, the fallback heuristic, the delta validation, and the
+view/tracker integration on top.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 from repro.core import FaultSet, Hypercube, uniform_node_faults
 from repro.obs import instruments as obs
 from repro.safety import compute_safety_levels
-from repro.safety.dynamic import IncrementalLevelView, _gs_message_cost
+from repro.safety.dynamic import IncrementalLevelView
 from repro.safety.incremental import IncrementalLevelEngine
+
+from .test_dynamic import _relax
 
 
 def _isolating_faults(topo):
@@ -74,7 +77,7 @@ class TestDeltaCorrectness:
             start[sorted(add)] = 0
             if remove:
                 start[sorted(remove)] = n
-            ref_levels, ref_rounds, ref_msgs = _gs_message_cost(
+            ref_levels, ref_rounds, ref_msgs = _relax(
                 topo, engine.faults, start=start)
             assert np.array_equal(engine.levels, ref_levels)
             assert stats.rounds == ref_rounds
@@ -97,7 +100,7 @@ class TestDeltaCorrectness:
         engine = IncrementalLevelEngine(q5, faults)
         assert np.array_equal(engine.levels,
                               compute_safety_levels(q5, faults))
-        ref_levels, ref_rounds, ref_msgs = _gs_message_cost(
+        ref_levels, ref_rounds, ref_msgs = _relax(
             q5, faults, start=None)
         assert engine.gs_rounds == ref_rounds
         assert engine.gs_messages == ref_msgs
@@ -194,7 +197,7 @@ class TestViewIntegration:
         base = uniform_node_faults(q4, 5, rng)
         view = IncrementalLevelView(q4, base)
         recovered = FaultSet(nodes=sorted(base.nodes)[1:])
-        sl = view.refresh(recovered, had_recovery=True)
+        sl = view.refresh(recovered)
         assert np.array_equal(sl.levels,
                               compute_safety_levels(q4, recovered))
         grown = recovered.with_nodes([sorted(base.nodes)[0]])
@@ -211,7 +214,7 @@ class TestViewIntegration:
         view.refresh(FaultSet(nodes=[6, 12]))
         ref_start = compute_safety_levels(q4, FaultSet(nodes=[6]))
         ref_start[12] = 0
-        _lv, ref_rounds, ref_msgs = _gs_message_cost(
+        _lv, ref_rounds, ref_msgs = _relax(
             q4, FaultSet(nodes=[6, 12]), start=ref_start)
         assert view.gs_rounds == ref_rounds
         assert view.gs_messages == ref_msgs

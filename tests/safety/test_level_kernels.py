@@ -4,7 +4,9 @@ Claims under test:
 
 * the SWAR kernel (``n <= 14``) and the packed-bitset tier compute the
   same Definition-1 fixed point and the same per-trial stabilization
-  rounds, bit for bit — exhaustively on Q4 — and the packed tier matches
+  rounds, bit for bit — exhaustively on Q4, where every fault set of at
+  most four faults also matches the whole-cube loop and the simulated GS
+  protocol (levels, rounds, messages) — and the packed tier matches
   the per-trial reference :func:`repro.safety.gs.compute_levels_with_rounds`
   on Q10+ and across its 64-trial word boundaries;
 * the SWAR field layout fits one uint64 with no carry between fields for
@@ -22,11 +24,12 @@ import pytest
 from repro.core import FaultSet, Hypercube
 from repro.obs import instruments as obs
 from repro.obs import read_events
-from repro.safety.gs import compute_levels_with_rounds
+from repro.safety.gs import compute_levels_with_rounds, run_gs
 from repro.safety.levels import (
     LevelsWorkspace,
     _batch_block_swar,
     compute_safety_levels_batch,
+    relax_levels,
 )
 from repro.safety.packed import batch_block_packed
 
@@ -104,13 +107,26 @@ class TestExhaustiveQ4:
         assert ref_rounds.max() == 3
 
     def test_sample_matches_per_trial_reference(self, all_masks):
-        rows = np.random.default_rng(4).choice(len(all_masks), 300,
-                                               replace=False)
-        got, got_rounds = _batch_block_swar(4, all_masks[rows],
-                                            LevelsWorkspace())
-        ref, ref_rounds = _per_trial_reference(4, all_masks[rows])
+        """Every fault set with at most four faults: SWAR's rows equal the
+        per-trial whole-cube loop, and the loop's levels, rounds and
+        on-change messages equal the simulated GS protocol's."""
+        small = all_masks[all_masks.sum(axis=1) <= 4]
+        assert len(small) == 2517
+        got, got_rounds = _batch_block_swar(4, small, LevelsWorkspace())
+        ref, ref_rounds = _per_trial_reference(4, small)
         assert np.array_equal(got, ref)
         assert np.array_equal(got_rounds, ref_rounds)
+        topo = Hypercube(4)
+        for row, swar_levels, swar_rounds in zip(small, got, got_rounds):
+            levels = np.full(topo.num_nodes, 4, dtype=np.int64)
+            rounds, messages = relax_levels(levels, row)
+            assert np.array_equal(levels, swar_levels)
+            assert rounds == swar_rounds
+            gs = run_gs(topo, FaultSet(nodes=np.flatnonzero(row).tolist()),
+                        policy="on-change")
+            assert np.array_equal(gs.levels, levels)
+            assert rounds == gs.stabilization_round
+            assert messages == gs.messages_sent
 
 
 class TestSwarFieldLayout:

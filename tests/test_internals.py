@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.rounds import RoundsPoint, rounds_vs_faults
 from repro.analysis.sensitivity import FAULT_MODELS
 from repro.core import FaultSet, Hypercube
-from repro.safety.dynamic import recompute_incremental
+from repro.safety.levels import relax_levels
 from repro.viz import _edge_chars, _paint  # type: ignore[attr-defined]
 
 
@@ -67,16 +67,18 @@ class TestRoundsInternals:
 
 class TestDynamicInternals:
     def test_warm_start_reports_zero_rounds_when_nothing_changes(self, q4):
-        faults = FaultSet(nodes=[3])
-        levels, _r, _m = recompute_incremental(q4, faults, None, False)
-        again, rounds, messages = recompute_incremental(
-            q4, faults, levels, False)
+        faulty = FaultSet(nodes=[3]).node_mask(q4.num_nodes)
+        levels = np.full(q4.num_nodes, 4, dtype=np.int64)
+        relax_levels(levels, faulty)
+        again = levels.copy()
+        rounds, messages = relax_levels(again, faulty)
         assert np.array_equal(levels, again)
         assert rounds == 0 and messages == 0
 
     def test_boot_message_count_zero_on_clean_cube(self, q4):
-        _levels, rounds, messages = recompute_incremental(
-            q4, FaultSet.empty(), None, False)
+        levels = np.full(q4.num_nodes, 4, dtype=np.int64)
+        rounds, messages = relax_levels(
+            levels, FaultSet.empty().node_mask(q4.num_nodes))
         assert rounds == 0 and messages == 0
 
 
